@@ -123,9 +123,8 @@ def cmd_coreset(args) -> int:
     else:
         params = fit_standardization(data)
         std = apply_standardization(data, params)
-        pilot = WeightedBLRModel.from_dataset(std)
         basis = build_projection_basis(
-            MODEL_BLR, pilot, args.d, derive_seed(args.seed, "basis"),
+            MODEL_BLR, std, args.d, derive_seed(args.seed, "basis"),
             weighting=args.weighting)
         embedding = embed_log_likelihoods(std, MODEL_BLR, basis)
         construct = giga_construct if args.method == "giga" else frankwolfe_construct
@@ -195,8 +194,7 @@ def cmd_eval(args) -> int:
 
 def cmd_offline(args) -> int:
     config = _configure(args)
-    report = run_offline(config, args.out,
-                         sequential_timing=args.sequential_timing)
+    report = run_offline(config, args.out)
     for condition, mean in report["grand_mean_accuracy"].items():
         log.info("%s: mean accuracy %.4f", condition, mean)
     print(Path(args.out) / "report.json")
@@ -206,9 +204,7 @@ def cmd_offline(args) -> int:
 def cmd_stream(args) -> int:
     config = _configure(args)
     mode = _MODE_FLAGS[args.mode] if args.mode else None
-    report, _ = run_stream_experiment(
-        config, args.out, mode_override=mode,
-        sequential_timing=args.sequential_timing)
+    report, _ = run_stream_experiment(config, args.out, mode_override=mode)
     for arm in report["arms"]:
         last = arm["steps"][-1]
         log.info("%s budget=%s: final step accuracy %.4f",
@@ -281,8 +277,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("offline", help="run the offline experiment grid")
     add_config_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--sequential-timing", action="store_true",
-                   help="disable parallelism so wall clocks are honest")
     p.set_defaults(func=cmd_offline)
 
     p = sub.add_parser("stream", help="run the streaming experiment grid")
@@ -291,7 +285,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=tuple(_MODE_FLAGS), default=None,
                    help="run a single reduction mode instead of the "
                         "config's list")
-    p.add_argument("--sequential-timing", action="store_true")
     p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("report", help="regenerate reports from a run "

@@ -17,7 +17,7 @@ uniform random subsampler provides the baseline both are measured against.
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,29 +40,6 @@ class CoresetDiagnostics:
     alignment_trace: list[float] = field(default_factory=list)
     wall_clock_seconds: float = 0.0
     early_stop: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "iterations_run": self.iterations_run,
-            "residual_norm": self.residual_norm,
-            "relative_error": self.relative_error,
-            "alignment_trace": list(self.alignment_trace),
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "early_stop": self.early_stop,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "CoresetDiagnostics":
-        return CoresetDiagnostics(
-            method=d["method"],
-            iterations_run=d["iterations_run"],
-            residual_norm=d["residual_norm"],
-            relative_error=d["relative_error"],
-            alignment_trace=list(d["alignment_trace"]),
-            wall_clock_seconds=d["wall_clock_seconds"],
-            early_stop=d.get("early_stop"),
-        )
 
 
 @dataclass(frozen=True)
@@ -111,7 +88,7 @@ class Coreset:
                 for b, r, w in zip(self.batch_ids, self.row_indices, self.weights)
             ],
             "construction": (
-                self.construction.to_dict() if self.construction else None
+                asdict(self.construction) if self.construction else None
             ),
         }
 
@@ -124,7 +101,7 @@ class Coreset:
             row_indices=np.array([e["row_index"] for e in entries], dtype=np.int64),
             weights=np.array([e["weight"] for e in entries], dtype=np.float64),
             model_family=d["model_family"],
-            construction=CoresetDiagnostics.from_dict(diag) if diag else None,
+            construction=CoresetDiagnostics(**diag) if diag else None,
         )
 
 

@@ -24,14 +24,6 @@ _SCALE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class FlowRecord:
-    """One labelled flow: a feature vector and a class label in {+1, -1}."""
-
-    features: np.ndarray
-    label: float
-
-
-@dataclass(frozen=True)
 class Dataset:
     """An immutable labelled dataset.
 
@@ -71,9 +63,6 @@ class Dataset:
     def f(self) -> int:
         return self.x.shape[1]
 
-    def record(self, i: int) -> FlowRecord:
-        return FlowRecord(features=self.x[i], label=float(self.y[i]))
-
 
 @dataclass(frozen=True)
 class StandardizationParams:
@@ -112,21 +101,6 @@ class CsvSchema:
         for raw, mapped in self.label_map.items():
             if mapped not in (-1, 1):
                 raise DataError(f"label_map[{raw!r}] must be +1 or -1, got {mapped!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "feature_columns": self.feature_columns,
-            "label_column": self.label_column,
-            "label_map": dict(self.label_map),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "CsvSchema":
-        return CsvSchema(
-            feature_columns=d.get("feature_columns"),
-            label_column=d["label_column"],
-            label_map={k: int(v) for k, v in d["label_map"].items()},
-        )
 
 
 def _parse_cell(cell: str, row_num: int, column: str) -> float:
@@ -216,32 +190,16 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, int]:
     return data, dropped
 
 
-def stratified_subsample(
-    data: Dataset, n_pos: int, n_neg: int, rng_seed: int
-) -> Dataset:
-    """Draw a class-stratified subsample without replacement.
-
-    Args:
-        data: source dataset.
-        n_pos: number of +1 rows to draw.
-        n_neg: number of -1 rows to draw.
-        rng_seed: seed; the draw is deterministic given it.
-
-    Returns:
-        A new Dataset with exactly n_pos positives and n_neg negatives.
-    """
-    return stratified_split(data, n_pos, n_neg, rng_seed)[0]
-
-
 def stratified_split(
     data: Dataset, n_pos: int, n_neg: int, rng_seed: int
 ) -> tuple[Dataset, Dataset]:
     """Partition into a stratified draw and its complement.
 
-    The first returned dataset is what stratified_subsample would draw with
-    the same arguments; the second holds every remaining row in original
-    order. Useful for carving a train set out of one generated pool so both
-    halves come from the same distribution.
+    The first returned dataset holds exactly n_pos positives and n_neg
+    negatives drawn without replacement, deterministically given rng_seed;
+    the second holds every remaining row in original order. Useful for
+    carving a train set out of one generated pool so both halves come from
+    the same distribution.
     """
     if n_pos < 0 or n_neg < 0:
         raise DataError("requested sizes must be nonnegative")
@@ -285,11 +243,6 @@ def fit_standardization(train: Dataset) -> StandardizationParams:
 def apply_standardization(data: Dataset, params: StandardizationParams) -> Dataset:
     """Apply fitted params; never refits on the incoming data."""
     return Dataset((data.x - params.mean) / params.scale, data.y)
-
-
-def invert_standardization(data: Dataset, params: StandardizationParams) -> Dataset:
-    """Undo apply_standardization."""
-    return Dataset(data.x * params.scale + params.mean, data.y)
 
 
 def generate_synthetic(
@@ -343,16 +296,18 @@ def dataset_csv_text(data: Dataset) -> str:
     return buffer.getvalue()
 
 
-def save_dataset(data: Dataset, path: str | Path, provenance: dict | None = None):
+def save_dataset(data: Dataset, path: str | Path, provenance: dict | None = None,
+                 text: str | None = None):
     """Write a dataset as CSV plus a one-line JSON provenance sidecar.
 
     The CSV has columns f0..f{F-1},label and full-precision floats, so
-    load_dataset round-trips bitwise.
+    load_dataset round-trips bitwise. A caller that already holds
+    dataset_csv_text(data) passes it as text to skip building it again.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
-        handle.write(dataset_csv_text(data))
+        handle.write(dataset_csv_text(data) if text is None else text)
     meta = {"n": data.n, "f": data.f}
     meta.update(provenance or {})
     _sidecar_path(path).write_text(json.dumps(meta) + "\n")

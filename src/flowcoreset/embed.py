@@ -11,10 +11,8 @@ diagonal Laplace approximation of the posterior fitted on a pilot dataset,
 with an isotropic prior fallback for cheap or degenerate cases.
 """
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -86,15 +84,6 @@ class LikelihoodEmbedding:
     @property
     def d(self) -> int:
         return self.vectors.shape[1]
-
-    @property
-    def zero_norm(self) -> np.ndarray:
-        """Mask of rows whose embedded likelihood is identically zero.
-
-        Such rows carry no information at any basis draw and are excluded
-        from coreset candidacy.
-        """
-        return self.norms == 0.0
 
     @property
     def total_vector(self) -> np.ndarray:
@@ -170,38 +159,3 @@ def embed_log_likelihoods(
     vectors = log_sigmoid(margins) / np.sqrt(basis.d)
     norms = np.linalg.norm(vectors, axis=1)
     return LikelihoodEmbedding(vectors=vectors, norms=norms, basis=basis)
-
-
-def save_embedding(embedding: LikelihoodEmbedding, stem: str | Path):
-    """Persist as <stem>.npz (vectors and basis draws) plus a JSON header."""
-    stem = Path(stem)
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(
-        stem.with_suffix(".npz"),
-        vectors=embedding.vectors,
-        theta_draws=embedding.basis.theta_draws,
-    )
-    header = {
-        "n": embedding.n,
-        "d": embedding.d,
-        "model_family": embedding.basis.model_family,
-        "weighting": embedding.basis.weighting,
-        "rng_seed": embedding.basis.rng_seed,
-    }
-    stem.with_suffix(".json").write_text(json.dumps(header) + "\n")
-
-
-def load_embedding(stem: str | Path) -> LikelihoodEmbedding:
-    stem = Path(stem)
-    arrays = np.load(stem.with_suffix(".npz"))
-    header = json.loads(stem.with_suffix(".json").read_text())
-    basis = ProjectionBasis(
-        theta_draws=arrays["theta_draws"],
-        model_family=header["model_family"],
-        weighting=header["weighting"],
-        rng_seed=header["rng_seed"],
-    )
-    vectors = arrays["vectors"]
-    return LikelihoodEmbedding(
-        vectors=vectors, norms=np.linalg.norm(vectors, axis=1), basis=basis
-    )

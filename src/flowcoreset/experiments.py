@@ -19,7 +19,6 @@ import csv
 import json
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,16 +54,18 @@ from .inference import (
     svm_train,
 )
 from .seeds import derive_seed
-from .stream import MODES, StepRecord, StreamPlan, run_stream
+from .stream import (
+    EVAL_SCOPES,
+    HMC_KEYS,
+    MODES,
+    StepRecord,
+    StreamPlan,
+    run_stream,
+)
 
 _TIMING_NOTE = (
     "Wall-clock fields depend on host load and hardware; compare ratios "
     "within a run, not absolute values across runs or machines."
-)
-
-_HMC_KEYS = frozenset(
-    {"total_samples", "burn_frac", "thin", "target_accept",
-     "leapfrog_steps", "jitter", "initial_step_size"}
 )
 
 
@@ -141,7 +142,7 @@ class StreamSpec:
         _require(len(self.modes) >= 1, "stream needs at least one mode")
         for mode in self.modes:
             _require(mode in MODES, f"unknown stream mode {mode!r}")
-        _require(self.eval_scope in ("union", "current"),
+        _require(self.eval_scope in EVAL_SCOPES,
                  f"unknown eval scope {self.eval_scope!r}")
         if self.batch_paths:
             _require(len(self.batch_paths) == len(self.test_paths),
@@ -169,7 +170,6 @@ class ExperimentConfig:
     svm_reg: float = 1e-3
     repetitions: int = 1
     rng_seed: int = 0
-    parallelism: int = 1
     persist_posteriors: bool = False
     stream: StreamSpec | None = None
 
@@ -184,14 +184,13 @@ class ExperimentConfig:
         _require(self.weighting in (WEIGHTING_LAPLACE, WEIGHTING_PRIOR),
                  f"unknown weighting {self.weighting!r}")
         if self.hmc:
-            unknown = set(self.hmc) - _HMC_KEYS
+            unknown = set(self.hmc) - HMC_KEYS
             _require(not unknown, f"unknown hmc settings: {sorted(unknown)}")
         _require(self.predict_draws >= 1, "predict_draws must be at least 1")
         _require(self.svm_epochs >= 1, "svm_epochs must be at least 1")
         _require(self.svm_reg > 0.0, "svm_reg must be positive")
         _require(self.repetitions >= 1, "repetitions must be at least 1")
         _require(self.rng_seed >= 0, "rng_seed must be nonnegative")
-        _require(self.parallelism >= 1, "parallelism must be at least 1")
 
     @property
     def effective_random_size(self) -> int:
@@ -227,7 +226,6 @@ class ExperimentConfig:
             "svm": {"epochs": self.svm_epochs, "reg": self.svm_reg},
             "repetitions": self.repetitions,
             "rng_seed": self.rng_seed,
-            "parallelism": self.parallelism,
             "persist_posteriors": self.persist_posteriors,
             "stream": None,
         }
@@ -243,6 +241,9 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        # "parallelism" is a retired key that configs written before its
+        # retirement still carry, every older run directory's config.json
+        # among them; it is accepted and ignored so they keep loading.
         known = {"source", "embedding_dim", "budgets", "random_size",
                  "weighting", "hmc", "predict_draws", "svm", "repetitions",
                  "rng_seed", "parallelism", "persist_posteriors", "stream"}
@@ -293,7 +294,6 @@ class ExperimentConfig:
             svm_reg=float(svm.get("reg", 1e-3)),
             repetitions=int(raw.get("repetitions", 1)),
             rng_seed=int(raw.get("rng_seed", 0)),
-            parallelism=int(raw.get("parallelism", 1)),
             persist_posteriors=bool(raw.get("persist_posteriors", False)),
             stream=stream,
         )
@@ -409,7 +409,9 @@ class _PreparedDataset:
     coresets: dict  # condition name -> (Coreset, storage_bytes)
 
 
-def _dataset_pair(config: ExperimentConfig, index: int) -> tuple[Dataset, Dataset]:
+def _dataset_pair(config: ExperimentConfig,
+                  index: int) -> tuple[Dataset, Dataset, int]:
+    """Train and test splits of one dataset, and the CSV rows dropped."""
     root = config.rng_seed
     src = config.source
     if isinstance(src, SyntheticSpec):
@@ -418,36 +420,42 @@ def _dataset_pair(config: ExperimentConfig, index: int) -> tuple[Dataset, Datase
             src.features, src.separation, derive_seed(root, "data", index))
         train, rest = stratified_split(
             pool, src.train_pos, src.train_neg, derive_seed(root, "split", index))
-        return train, rest
+        return train, rest, 0
+    # Real capture files carry unreadable rows; they are tolerated and
+    # counted in the train split's provenance.
     data, dropped = ingest_csv(src.paths[index], src.schema())
-    if dropped:
-        # Tolerated: real capture files carry unreadable rows. The count
-        # lands in the dataset provenance below.
-        pass
     train, rest = stratified_split(
         data, src.train_pos, src.train_neg, derive_seed(root, "split", index))
     test, _ = stratified_split(
         rest, src.test_pos, src.test_neg, derive_seed(root, "testsplit", index))
-    return train, test
+    return train, test, dropped
+
+
+def _save_splits(config: ExperimentConfig, index: int, train: Dataset,
+                 test: Dataset, dropped: int, train_text: str,
+                 out: Path) -> list[Path]:
+    """Write one dataset's splits under out/datasets with provenance."""
+    datasets_dir = out / "datasets"
+    train_path = datasets_dir / f"ds{index}_train.csv"
+    test_path = datasets_dir / f"ds{index}_test.csv"
+    save_dataset(train, train_path, text=train_text,
+                 provenance={"role": "train", "dataset": index,
+                             "rng_seed": config.rng_seed,
+                             "dropped_rows": dropped})
+    save_dataset(test, test_path,
+                 provenance={"role": "test", "dataset": index,
+                             "rng_seed": config.rng_seed})
+    return [train_path, test_path]
 
 
 def prepare_datasets(config: ExperimentConfig,
                      out_dir: str | Path) -> list[Path]:
     """Materialize the train/test splits the offline grid would use."""
-    out = Path(out_dir) / "datasets"
-    out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for index in range(config.n_datasets):
-        train, test = _dataset_pair(config, index)
-        train_path = out / f"ds{index}_train.csv"
-        test_path = out / f"ds{index}_test.csv"
-        save_dataset(train, train_path,
-                     provenance={"role": "train", "dataset": index,
-                                 "rng_seed": config.rng_seed})
-        save_dataset(test, test_path,
-                     provenance={"role": "test", "dataset": index,
-                                 "rng_seed": config.rng_seed})
-        written.extend([train_path, test_path])
+        train, test, dropped = _dataset_pair(config, index)
+        written.extend(_save_splits(config, index, train, test, dropped,
+                                    dataset_csv_text(train), Path(out_dir)))
     return written
 
 
@@ -455,7 +463,7 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
                      out: Path | None) -> _PreparedDataset:
     """Everything reps share for one dataset: splits, embedding, coresets."""
     root = config.rng_seed
-    train, test = _dataset_pair(config, index)
+    train, test, dropped = _dataset_pair(config, index)
 
     pos = int(np.sum(train.y == 1.0))
     minority_label = 1.0 if pos <= train.n - pos else -1.0
@@ -464,20 +472,13 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
     train_std = apply_standardization(train, params)
     test_std = apply_standardization(test, params)
 
-    train_bytes = len(dataset_csv_text(train).encode())
+    train_text = dataset_csv_text(train)
+    train_bytes = len(train_text.encode())
     if out is not None:
-        datasets_dir = out / "datasets"
-        datasets_dir.mkdir(parents=True, exist_ok=True)
-        save_dataset(train, datasets_dir / f"ds{index}_train.csv",
-                     provenance={"role": "train", "dataset": index,
-                                 "rng_seed": root})
-        save_dataset(test, datasets_dir / f"ds{index}_test.csv",
-                     provenance={"role": "test", "dataset": index,
-                                 "rng_seed": root})
+        _save_splits(config, index, train, test, dropped, train_text, out)
 
-    pilot = WeightedBLRModel.from_dataset(train_std)
     basis = build_projection_basis(
-        MODEL_BLR, pilot, config.embedding_dim,
+        MODEL_BLR, train_std, config.embedding_dim,
         derive_seed(root, "basis", index), weighting=config.weighting)
     embedding = embed_log_likelihoods(train_std, MODEL_BLR, basis)
 
@@ -602,14 +603,12 @@ def offline_conditions(config: ExperimentConfig) -> list[str]:
             + [f"blr_coreset_m{m}" for m in config.budgets])
 
 
-def run_offline(config: ExperimentConfig, out_dir: str | Path | None,
-                sequential_timing: bool = False) -> dict:
+def run_offline(config: ExperimentConfig, out_dir: str | Path | None) -> dict:
     """Run the full offline grid; returns the report dict.
 
     With an output directory, persists datasets, coresets, optional
     posteriors, results.csv, report.json, report.csv, and the resolved
-    config. Conditions run in a thread pool unless parallelism is 1 or
-    sequential timing is forced.
+    config.
     """
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -621,19 +620,9 @@ def run_offline(config: ExperimentConfig, out_dir: str | Path | None,
     rows: list[dict] = []
     for index in range(config.n_datasets):
         prepared = _prepare_dataset(config, index, out)
-        trials = [(condition, rep) for rep in range(config.repetitions)
-                  for condition in conditions]
-        workers = 1 if sequential_timing else config.parallelism
-        if workers == 1:
-            results = [_run_trial(config, prepared, condition, rep, out)
-                       for condition, rep in trials]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_trial, config, prepared,
-                                       condition, rep, out)
-                           for condition, rep in trials]
-                results = [future.result() for future in futures]
-        rows.extend(results)
+        rows.extend(_run_trial(config, prepared, condition, rep, out)
+                    for rep in range(config.repetitions)
+                    for condition in conditions)
 
     if out is not None:
         write_rows(out / "results.csv", rows, OFFLINE_COLUMNS)
@@ -749,16 +738,14 @@ def stream_arms(config: ExperimentConfig,
 
 def run_stream_experiment(
     config: ExperimentConfig, out_dir: str | Path | None,
-    mode_override: str | None = None, sequential_timing: bool = False,
+    mode_override: str | None = None,
 ) -> tuple[dict, list[dict]]:
     """Run every stream arm for every repetition.
 
     Returns (report, arm_records); arm_records keeps the in-memory
     StepRecords (with their coresets) for callers that inspect
-    construction diagnostics. sequential_timing is accepted for interface
-    symmetry; steps are inherently sequential already.
+    construction diagnostics.
     """
-    del sequential_timing
     spec = config.stream
     if spec is None:
         raise ConfigError("config has no stream section")

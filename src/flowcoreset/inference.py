@@ -15,9 +15,8 @@ reference point.
 import json
 import logging
 import math
-import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -386,11 +385,6 @@ def predict_batch(
         )
     draws = posterior.draws[-n_draws:]
     return sigmoid(x @ draws.T).mean(axis=1)
-
-
-def predict(posterior: PosteriorSamples, x: np.ndarray, n_draws: int = 1000) -> float:
-    """Posterior predictive probability for a single feature vector."""
-    return float(predict_batch(posterior, np.atleast_2d(x), n_draws)[0])
 
 
 def classify(probabilities: np.ndarray, threshold: float = 0.5) -> np.ndarray:

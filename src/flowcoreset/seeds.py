@@ -9,8 +9,6 @@ restarts, and statistically independent of each other.
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(root: int, *path: object) -> int:
     """Derive a child seed from a root seed and a path of labels.
@@ -25,8 +23,3 @@ def derive_seed(root: int, *path: object) -> int:
     key = "/".join([str(int(root))] + [str(p) for p in path])
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def rng_from(root: int, *path: object) -> np.random.Generator:
-    """Generator seeded by derive_seed(root, *path)."""
-    return np.random.default_rng(derive_seed(root, *path))

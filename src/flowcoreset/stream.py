@@ -40,10 +40,10 @@ MODES = (MODE_POOL, MODE_CORESET, MODE_RANDOM)
 
 EVAL_UNION = "union"
 EVAL_CURRENT = "current"
-_EVAL_SCOPES = (EVAL_UNION, EVAL_CURRENT)
+EVAL_SCOPES = (EVAL_UNION, EVAL_CURRENT)
 
-# Keyword arguments run_stream is willing to forward to hmc_sample.
-_HMC_KEYS = frozenset(
+# Sampler settings a config or a stream plan may forward to hmc_sample.
+HMC_KEYS = frozenset(
     {"total_samples", "burn_frac", "thin", "target_accept",
      "leapfrog_steps", "jitter", "initial_step_size"}
 )
@@ -84,7 +84,7 @@ class StreamPlan:
             raise DataError("all batches and test sets must share feature width")
         if self.mode not in MODES:
             raise ConfigError(f"unknown stream mode {self.mode!r}")
-        if self.eval_scope not in _EVAL_SCOPES:
+        if self.eval_scope not in EVAL_SCOPES:
             raise ConfigError(f"unknown eval scope {self.eval_scope!r}")
         if self.coreset_budget < 1:
             raise ConfigError("coreset budget must be at least 1")
@@ -92,7 +92,7 @@ class StreamPlan:
             raise ConfigError("embedding dimension must be at least 1")
         if self.predict_draws < 1:
             raise ConfigError("predict_draws must be at least 1")
-        unknown = set(self.hmc) - _HMC_KEYS
+        unknown = set(self.hmc) - HMC_KEYS
         if unknown:
             raise ConfigError(f"unknown hmc settings: {sorted(unknown)}")
 
@@ -115,20 +115,6 @@ class StepRecord:
     model_diagnostics: dict
     added_coreset: Coreset | None = None
 
-    def row(self) -> dict:
-        """Flat dict for CSV emission; drops the in-memory coreset."""
-        out = {
-            "step": self.step,
-            "mode": self.mode,
-            "stored_samples": self.stored_samples,
-            "reduction_seconds": self.reduction_seconds,
-            "training_seconds": self.training_seconds,
-            "accuracy": self.accuracy,
-            "eval_samples": self.eval_samples,
-        }
-        out.update(self.model_diagnostics)
-        return out
-
 
 def _concat(datasets: list[Dataset]) -> Dataset:
     if len(datasets) == 1:
@@ -150,9 +136,8 @@ def _reduce_batch(plan: StreamPlan, step: int, batch_id: str,
     # The pilot sees only this batch: streaming assumes no lookahead.
     params = fit_standardization(batch)
     std = apply_standardization(batch, params)
-    pilot = WeightedBLRModel.from_dataset(std)
     basis = build_projection_basis(
-        plan.model_family, pilot, plan.embedding_dim,
+        plan.model_family, std, plan.embedding_dim,
         derive_seed(plan.rng_seed, "basis", step), weighting=plan.weighting,
     )
     embedding = embed_log_likelihoods(std, plan.model_family, basis)

@@ -161,9 +161,8 @@ class TestCoresetStructure:
         wins = 0
         for s in range(10):
             p = prepared[s % 5]
-            pilot = WeightedBLRModel.from_dataset(p.train_std)
             basis = build_projection_basis(
-                MODEL_BLR, pilot, sim1_config.embedding_dim,
+                MODEL_BLR, p.train_std, sim1_config.embedding_dim,
                 derive_seed(0, "basis", s % 5),
                 weighting=sim1_config.weighting)
             embedding = embed_log_likelihoods(p.train_std, MODEL_BLR, basis)

@@ -22,7 +22,6 @@ TINY = {
     "svm": {"epochs": 3, "reg": 0.001},
     "repetitions": 1,
     "rng_seed": 0,
-    "parallelism": 1,
     "persist_posteriors": False,
     "stream": None,
 }

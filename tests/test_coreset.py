@@ -184,7 +184,7 @@ class TestGigaConstruct:
         data = Dataset(x, np.ones(6))
         basis = ProjectionBasis(np.array([[800.0]]), "blr", "prior", 0)
         emb = embed_log_likelihoods(data, "blr", basis)
-        assert bool(emb.zero_norm[0])
+        assert emb.norms[0] == 0.0
         coreset = giga_construct(emb, m=6)
         assert 0 not in coreset.row_indices
 

@@ -13,11 +13,9 @@ from flowcoreset.data import (
     generate_synthetic,
     dataset_csv_text,
     ingest_csv,
-    invert_standardization,
     load_dataset,
     save_dataset,
     stratified_split,
-    stratified_subsample,
 )
 from flowcoreset.errors import DataError
 
@@ -121,32 +119,32 @@ class TestStratifiedSubsample:
         return Dataset(x, y)
 
     def test_exact_class_counts(self):
-        sub = stratified_subsample(self.make(), n_pos=10, n_neg=5, rng_seed=1)
+        sub = stratified_split(self.make(), n_pos=10, n_neg=5, rng_seed=1)[0]
         assert sub.n == 15
         assert int((sub.y > 0).sum()) == 10
         assert int((sub.y < 0).sum()) == 5
 
     def test_deterministic_given_seed(self):
-        a = stratified_subsample(self.make(), 10, 5, rng_seed=7)
-        b = stratified_subsample(self.make(), 10, 5, rng_seed=7)
+        a = stratified_split(self.make(), 10, 5, rng_seed=7)[0]
+        b = stratified_split(self.make(), 10, 5, rng_seed=7)[0]
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.y, b.y)
 
     def test_different_seeds_differ(self):
-        a = stratified_subsample(self.make(), 10, 5, rng_seed=7)
-        b = stratified_subsample(self.make(), 10, 5, rng_seed=8)
+        a = stratified_split(self.make(), 10, 5, rng_seed=7)[0]
+        b = stratified_split(self.make(), 10, 5, rng_seed=8)[0]
         assert not np.array_equal(a.x, b.x)
 
     def test_zero_positives_gives_all_negative_subsample(self):
-        sub = stratified_subsample(self.make(), n_pos=0, n_neg=12, rng_seed=3)
+        sub = stratified_split(self.make(), n_pos=0, n_neg=12, rng_seed=3)[0]
         assert sub.n == 12
         assert np.all(sub.y < 0)
 
     def test_overdraw_raises(self):
         with pytest.raises(DataError):
-            stratified_subsample(self.make(), n_pos=71, n_neg=0, rng_seed=0)
+            stratified_split(self.make(), n_pos=71, n_neg=0, rng_seed=0)
         with pytest.raises(DataError):
-            stratified_subsample(self.make(), n_pos=0, n_neg=31, rng_seed=0)
+            stratified_split(self.make(), n_pos=0, n_neg=31, rng_seed=0)
 
     def test_split_partitions_the_pool(self):
         """Split halves are disjoint and together cover every row."""
@@ -157,12 +155,6 @@ class TestStratifiedSubsample:
         assert int((rest.y > 0).sum()) == 30
         combined = np.vstack([head.x, rest.x])
         assert np.unique(combined, axis=0).shape[0] == pool.n
-
-    def test_split_head_matches_subsample(self):
-        pool = self.make()
-        head, _ = stratified_split(pool, 12, 6, rng_seed=9)
-        sub = stratified_subsample(pool, 12, 6, rng_seed=9)
-        np.testing.assert_array_equal(head.x, sub.x)
 
 
 class TestStandardization:
@@ -195,13 +187,6 @@ class TestStandardization:
         out = apply_standardization(test, params)
         assert np.all(np.abs(out.x.mean(axis=0)) > 1.0)
         np.testing.assert_allclose(out.x, (test.x - params.mean) / params.scale)
-
-    def test_round_trip_recovers_input(self):
-        rng = np.random.default_rng(4)
-        data = Dataset(rng.normal(2.0, 9.0, size=(30, 5)), np.ones(30))
-        params = fit_standardization(data)
-        back = invert_standardization(apply_standardization(data, params), params)
-        np.testing.assert_allclose(back.x, data.x, rtol=1e-9)
 
     def test_empty_dataset_raises(self):
         empty = Dataset(np.empty((0, 2)), np.empty(0))
@@ -260,12 +245,6 @@ class TestDataset:
             data.x[0, 0] = 5.0
         with pytest.raises(ValueError):
             data.y[0] = -1.0
-
-    def test_record_accessor(self):
-        data = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, -1.0]))
-        rec = data.record(1)
-        np.testing.assert_allclose(rec.features, [3.0, 4.0])
-        assert rec.label == -1.0
 
 
 class TestSaveLoad:

@@ -7,12 +7,9 @@ import pytest
 
 from flowcoreset.data import Dataset, generate_synthetic
 from flowcoreset.embed import (
-    LikelihoodEmbedding,
     ProjectionBasis,
     build_projection_basis,
     embed_log_likelihoods,
-    load_embedding,
-    save_embedding,
 )
 from flowcoreset.errors import ConfigError, DataError
 from flowcoreset.inference import WeightedBLRModel, fit_map, laplace_scales
@@ -122,9 +119,8 @@ class TestEmbedLogLikelihoods:
         data = Dataset(np.array([[1.0], [0.125]]), np.array([1.0, 1.0]))
         basis = manual_basis([[800.0]])
         emb = embed_log_likelihoods(data, "blr", basis)
-        assert bool(emb.zero_norm[0]) is True
-        assert bool(emb.zero_norm[1]) is False
         assert emb.norms[0] == 0.0
+        assert emb.norms[1] != 0.0
 
     def test_norms_match_vectors(self):
         rng = np.random.default_rng(13)
@@ -151,16 +147,3 @@ class TestEmbedLogLikelihoods:
         emb_a = embed_log_likelihoods(pilot, "blr", basis_a)
         emb_b = embed_log_likelihoods(pilot, "blr", basis_b)
         np.testing.assert_array_equal(emb_a.vectors, emb_b.vectors)
-
-
-class TestEmbeddingPersistence:
-    def test_round_trip_is_exact(self, tmp_path):
-        pilot = generate_synthetic(40, 10, f=4, separation=3.0, rng_seed=16)
-        basis = build_projection_basis("blr", pilot, d=25, rng_seed=17)
-        emb = embed_log_likelihoods(pilot, "blr", basis)
-        save_embedding(emb, tmp_path / "emb")
-        back = load_embedding(tmp_path / "emb")
-        np.testing.assert_array_equal(back.vectors, emb.vectors)
-        np.testing.assert_array_equal(back.basis.theta_draws, basis.theta_draws)
-        assert back.basis.weighting == "laplace"
-        assert isinstance(back, LikelihoodEmbedding)

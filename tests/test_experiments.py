@@ -36,7 +36,6 @@ TINY = {
     "svm": {"epochs": 3, "reg": 0.001},
     "repetitions": 2,
     "rng_seed": 0,
-    "parallelism": 1,
     "persist_posteriors": False,
     "stream": None,
 }
@@ -63,6 +62,11 @@ class TestConfig:
         config = tiny_config()
         again = ExperimentConfig.from_dict(config.to_dict())
         assert again == config
+
+    def test_retired_parallelism_key_is_accepted_and_dropped(self):
+        config = tiny_config(parallelism=1)
+        assert config == tiny_config()
+        assert "parallelism" not in config.to_dict()
 
     def test_rejects_unknown_top_level_keys(self):
         with pytest.raises(ConfigError):
@@ -122,10 +126,32 @@ class TestPrepare:
         assert len(written) == 4
         train, meta = load_dataset(tmp_path / "datasets" / "ds0_train.csv")
         assert meta["role"] == "train"
+        assert meta["dropped_rows"] == 0
         assert int(np.sum(train.y == 1.0)) == 15
         assert int(np.sum(train.y == -1.0)) == 75
         test, _ = load_dataset(tmp_path / "datasets" / "ds1_test.csv")
         assert test.n == 60
+
+    def test_csv_dropped_rows_land_in_train_provenance(self, tmp_path):
+        rng = np.random.default_rng(0)
+        lines = ["a,b,Label"]
+        for i in range(40):
+            label = "ATTACK" if i % 2 else "BENIGN"
+            lines.append(f"{rng.normal()},{rng.normal()},{label}")
+        lines += ["1.0,,BENIGN", "NaN,2.0,ATTACK", "Infinity,0.5,BENIGN"]
+        capture = tmp_path / "capture.csv"
+        capture.write_text("\n".join(lines) + "\n")
+        source = {"kind": "csv", "paths": [str(capture)],
+                  "label_column": "Label",
+                  "label_map": {"BENIGN": -1, "ATTACK": 1},
+                  "feature_columns": None, "train_pos": 10, "train_neg": 10,
+                  "test_pos": 5, "test_neg": 5}
+        prepare_datasets(tiny_config(source=source), tmp_path / "out")
+        datasets = tmp_path / "out" / "datasets"
+        _, train_meta = load_dataset(datasets / "ds0_train.csv")
+        _, test_meta = load_dataset(datasets / "ds0_test.csv")
+        assert train_meta["dropped_rows"] == 3
+        assert "dropped_rows" not in test_meta
 
 
 @pytest.fixture(scope="module")
@@ -212,14 +238,6 @@ class TestOffline:
         assert all("NumericalError" in entry["errors"][0] for entry in blr)
         svm = [c for c in report["conditions"] if c["condition"] == "svm"]
         assert svm[0]["failures"] == 0
-
-    def test_parallel_execution_matches_sequential(self, offline_run):
-        _, report = offline_run
-        parallel = run_offline(tiny_config(parallelism=4), None)
-        assert parallel["config"]["parallelism"] == 4
-        # The config echo records the worker count; everything else must match.
-        parallel["config"]["parallelism"] = report["config"]["parallelism"]
-        assert strip_seconds(parallel) == strip_seconds(report)
 
 
 class TestStreamExperiment:

@@ -18,7 +18,6 @@ from flowcoreset.inference import (
     load_posterior,
     log_posterior,
     log_sigmoid,
-    predict,
     predict_batch,
     save_posterior,
     svm_accuracy,
@@ -265,31 +264,25 @@ def manual_posterior(draws):
 class TestPredict:
     def test_disagreeing_draws_average_to_half(self):
         posterior = manual_posterior([[10.0], [-10.0]])
-        p = predict(posterior, np.array([1.0]), n_draws=2)
-        assert abs(p - 0.5) < 1e-4
+        p = predict_batch(posterior, np.array([[1.0]]), n_draws=2)
+        assert abs(p[0] - 0.5) < 1e-4
 
     def test_uses_only_the_last_n_draws(self):
         draws = [[-10.0]] * 5 + [[10.0]] * 5
         posterior = manual_posterior(draws)
-        assert predict(posterior, np.array([1.0]), n_draws=5) > 0.99
-        assert abs(predict(posterior, np.array([1.0]), n_draws=10) - 0.5) < 1e-4
+        x = np.array([[1.0]])
+        assert predict_batch(posterior, x, n_draws=5)[0] > 0.99
+        assert abs(predict_batch(posterior, x, n_draws=10)[0] - 0.5) < 1e-4
 
     def test_requesting_too_many_draws_raises(self):
         posterior = manual_posterior([[1.0]])
         with pytest.raises(DataError):
-            predict(posterior, np.array([1.0]), n_draws=2)
+            predict_batch(posterior, np.array([[1.0]]), n_draws=2)
 
     def test_classify_threshold(self):
         np.testing.assert_array_equal(
             classify(np.array([0.49, 0.5, 0.51])), [-1.0, -1.0, 1.0]
         )
-
-    def test_batch_matches_single(self):
-        posterior = manual_posterior([[0.5, -1.0], [1.5, 0.25]])
-        x = np.array([[1.0, 2.0], [-0.5, 0.1]])
-        batch = predict_batch(posterior, x, n_draws=2)
-        for i in range(2):
-            assert abs(batch[i] - predict(posterior, x[i], n_draws=2)) < 1e-15
 
 
 def separated_pool(n_train_pos, n_train_neg, f, separation, rng_seed):

@@ -184,9 +184,8 @@ class TestOfflineEquivalence:
         _, batch = plan.batches[0]
         params = fit_standardization(batch)
         std = apply_standardization(batch, params)
-        pilot = WeightedBLRModel.from_dataset(std)
         basis = build_projection_basis(
-            "blr", pilot, 40, derive_seed(plan.rng_seed, "basis", 0))
+            "blr", std, 40, derive_seed(plan.rng_seed, "basis", 0))
         embedding = embed_log_likelihoods(std, "blr", basis)
         direct = giga_construct(embedding, 25, batch_id="t0")
         assert record.added_coreset.row_indices.tolist() == \
@@ -207,5 +206,4 @@ class TestLearningBehavior:
         diag = record.model_diagnostics
         assert diag["n_draws"] == 60
         assert 0.0 <= diag["acceptance_rate"] <= 1.0
-        assert set(record.row()) >= {"step", "mode", "accuracy",
-                                     "stored_samples", "acceptance_rate"}
+        assert {"acceptance_rate", "n_divergent"} <= set(diag)
