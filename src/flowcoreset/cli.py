@@ -33,7 +33,7 @@ from .data import (
     fit_standardization,
     load_dataset,
 )
-from .embed import MODEL_BLR, build_projection_basis, embed_log_likelihoods
+from .embed import build_projection_basis, embed_log_likelihoods
 from .errors import ConfigError, DataError, NumericalError
 from .experiments import (
     ExperimentConfig,
@@ -51,6 +51,7 @@ from .inference import (
     save_posterior,
 )
 from .seeds import derive_seed
+from .stream import HMC_KEYS
 
 log = logging.getLogger("flowcoreset")
 
@@ -117,18 +118,15 @@ def cmd_coreset(args) -> int:
     data, _ = load_dataset(args.data)
     started = time.perf_counter()
     if args.method == "random":
-        built = random_construct(
-            data.n, min(args.budget, data.n), args.seed,
-            model_family=MODEL_BLR)
+        built = random_construct(data.n, min(args.budget, data.n), args.seed)
     else:
         params = fit_standardization(data)
         std = apply_standardization(data, params)
         basis = build_projection_basis(
-            MODEL_BLR, std, args.d, derive_seed(args.seed, "basis"),
-            weighting=args.weighting)
-        embedding = embed_log_likelihoods(std, MODEL_BLR, basis)
+            std, args.d, derive_seed(args.seed, "basis"), weighting=args.weighting)
+        embedding = embed_log_likelihoods(std, basis)
         construct = giga_construct if args.method == "giga" else frankwolfe_construct
-        built = construct(embedding, args.budget, MODEL_BLR)
+        built = construct(embedding, args.budget)
     elapsed = time.perf_counter() - started
     save_coreset(built, args.out)
     diag = built.construction
@@ -155,15 +153,8 @@ def cmd_train(args) -> int:
     else:
         params = fit_standardization(data)
         model = WeightedBLRModel.from_dataset(apply_standardization(data, params))
-    settings = {
-        "total_samples": args.total_samples,
-        "burn_frac": args.burn_frac,
-        "thin": args.thin,
-        "target_accept": args.target_accept,
-        "leapfrog_steps": args.leapfrog_steps,
-        "jitter": args.jitter,
-        "initial_step_size": args.initial_step_size,
-    }
+    # The sampler flags' argparse names are the HMC_KEYS.
+    settings = {key: getattr(args, key) for key in HMC_KEYS}
     posterior = hmc_sample(model, rng_seed=args.seed, **settings)
     save_posterior(posterior, args.out)
     _standardization_path(args.out).write_text(

@@ -54,7 +54,6 @@ class Coreset:
     batch_ids: tuple[str, ...]
     row_indices: np.ndarray
     weights: np.ndarray
-    model_family: str
     construction: CoresetDiagnostics | None = None
 
     def __post_init__(self):
@@ -63,8 +62,6 @@ class Coreset:
         ids = tuple(self.batch_ids)
         if not (len(ids) == rows.shape[0] == weights.shape[0]):
             raise DataError("entry arrays must have matching lengths")
-        if not self.model_family:
-            raise DataError("model_family must be nonempty")
         if weights.size:
             if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
                 raise DataError("weights must be finite and strictly positive")
@@ -82,7 +79,6 @@ class Coreset:
 
     def to_dict(self) -> dict:
         return {
-            "model_family": self.model_family,
             "entries": [
                 {"batch_id": b, "row_index": int(r), "weight": float(w)}
                 for b, r, w in zip(self.batch_ids, self.row_indices, self.weights)
@@ -100,7 +96,6 @@ class Coreset:
             batch_ids=tuple(e["batch_id"] for e in entries),
             row_indices=np.array([e["row_index"] for e in entries], dtype=np.int64),
             weights=np.array([e["weight"] for e in entries], dtype=np.float64),
-            model_family=d["model_family"],
             construction=CoresetDiagnostics(**diag) if diag else None,
         )
 
@@ -146,7 +141,7 @@ def _embedding_geometry(embedding: LikelihoodEmbedding):
 
 
 def _finish(
-    method, embedding, batch_id, model_family, candidates, weights_on_candidates,
+    method, embedding, batch_id, candidates, weights_on_candidates,
     iterations, trace, started, early_stop,
 ):
     """Prune zero weights, measure reconstruction error, assemble Coreset."""
@@ -170,7 +165,6 @@ def _finish(
         batch_ids=(batch_id,) * rows.shape[0],
         row_indices=rows,
         weights=weights,
-        model_family=model_family,
         construction=diag,
     )
 
@@ -178,7 +172,6 @@ def _finish(
 def giga_construct(
     embedding: LikelihoodEmbedding,
     m: int,
-    model_family: str | None = None,
     batch_id: str = "batch0",
 ) -> Coreset:
     """Greedy geodesic construction with iteration budget m.
@@ -192,9 +185,6 @@ def giga_construct(
     """
     if m < 1:
         raise DataError("iteration budget m must be at least 1")
-    model_family = model_family or embedding.basis.model_family
-    if model_family != embedding.basis.model_family:
-        raise DataError("model family does not match the embedding")
     started = time.perf_counter()
     candidates, dirs, sigma, total, total_norm, ell = _embedding_geometry(embedding)
 
@@ -247,7 +237,7 @@ def giga_construct(
     alpha = total_norm * max(zeta0, 0.0)
     weights = alpha * u / sigma[candidates]
     return _finish(
-        "giga", embedding, batch_id, model_family, candidates, weights,
+        "giga", embedding, batch_id, candidates, weights,
         iterations, trace, started, early_stop,
     )
 
@@ -255,7 +245,6 @@ def giga_construct(
 def frankwolfe_construct(
     embedding: LikelihoodEmbedding,
     m: int,
-    model_family: str | None = None,
     batch_id: str = "batch0",
 ) -> Coreset:
     """Frank-Wolfe construction with iteration budget m.
@@ -267,9 +256,6 @@ def frankwolfe_construct(
     """
     if m < 1:
         raise DataError("iteration budget m must be at least 1")
-    model_family = model_family or embedding.basis.model_family
-    if model_family != embedding.basis.model_family:
-        raise DataError("model family does not match the embedding")
     started = time.perf_counter()
     candidates, dirs, sigma, total, total_norm, ell = _embedding_geometry(embedding)
 
@@ -305,7 +291,7 @@ def frankwolfe_construct(
         iterations += 1
 
     return _finish(
-        "frankwolfe", embedding, batch_id, model_family, candidates, weights,
+        "frankwolfe", embedding, batch_id, candidates, weights,
         iterations, trace, started, early_stop,
     )
 
@@ -314,7 +300,6 @@ def random_construct(
     data_size: int,
     m: int,
     rng_seed: int,
-    model_family: str = "any",
     batch_id: str = "batch0",
 ) -> Coreset:
     """Uniform random baseline: m distinct rows, each weighted n/m.
@@ -342,7 +327,6 @@ def random_construct(
         batch_ids=(batch_id,) * m,
         row_indices=rows,
         weights=np.full(m, data_size / m),
-        model_family=model_family,
         construction=diag,
     )
 
@@ -367,23 +351,14 @@ def aggregate(coresets: list[Coreset]) -> Coreset:
     """Union coresets from disjoint batches; weights pass through unchanged.
 
     Raises:
-        DataError: empty input, mixed model families, or colliding
-            (batch, row) entries.
+        DataError: empty input or colliding (batch, row) entries.
     """
     if not coresets:
         raise DataError("nothing to aggregate")
-    family = coresets[0].model_family
-    for c in coresets[1:]:
-        if c.model_family != family:
-            raise DataError(
-                f"cannot aggregate model families {family!r} and "
-                f"{c.model_family!r}"
-            )
     return Coreset(
         batch_ids=tuple(b for c in coresets for b in c.batch_ids),
         row_indices=np.concatenate([c.row_indices for c in coresets]),
         weights=np.concatenate([c.weights for c in coresets]),
-        model_family=family,
         construction=None,
     )
 

@@ -22,7 +22,6 @@ from .inference import WeightedBLRModel, fit_map, laplace_scales, log_sigmoid
 
 logger = logging.getLogger(__name__)
 
-MODEL_BLR = "blr"
 WEIGHTING_LAPLACE = "laplace"
 WEIGHTING_PRIOR = "prior"
 
@@ -33,13 +32,11 @@ class ProjectionBasis:
 
     Attributes:
         theta_draws: shape (d, f), one parameter vector per dimension.
-        model_family: likelihood family tag, currently only "blr".
         weighting: which distribution produced the draws.
         rng_seed: seed the draws came from.
     """
 
     theta_draws: np.ndarray
-    model_family: str
     weighting: str
     rng_seed: int
 
@@ -91,7 +88,6 @@ class LikelihoodEmbedding:
 
 
 def build_projection_basis(
-    model_family: str,
     pilot: Dataset,
     d: int,
     rng_seed: int,
@@ -105,14 +101,11 @@ def build_projection_basis(
     standard normal prior and the pilot only fixes the dimension.
 
     Args:
-        model_family: likelihood family tag; only "blr" is supported.
         pilot: dataset the weighting distribution is tuned on.
         d: number of draws, >= 1.
         rng_seed: seed for the draws.
         weighting: "laplace" or "prior".
     """
-    if model_family != MODEL_BLR:
-        raise ConfigError(f"unsupported model family {model_family!r}")
     if d < 1:
         raise ConfigError("projection dimension must be at least 1")
     rng = np.random.default_rng(rng_seed)
@@ -132,25 +125,17 @@ def build_projection_basis(
     )
     return ProjectionBasis(
         theta_draws=draws,
-        model_family=model_family,
         weighting=weighting,
         rng_seed=rng_seed,
     )
 
 
-def embed_log_likelihoods(
-    data: Dataset, model_family: str, basis: ProjectionBasis
-) -> LikelihoodEmbedding:
+def embed_log_likelihoods(data: Dataset, basis: ProjectionBasis) -> LikelihoodEmbedding:
     """Embed every sample's log-likelihood under the basis draws.
 
     Raises:
-        DataError: the dataset dimension or family does not match the basis.
+        DataError: the dataset dimension does not match the basis.
     """
-    if model_family != basis.model_family:
-        raise DataError(
-            f"family mismatch: data embedded as {model_family!r}, "
-            f"basis built for {basis.model_family!r}"
-        )
     if data.f != basis.f:
         raise DataError(
             f"feature dimension {data.f} does not match basis dimension {basis.f}"

@@ -38,7 +38,6 @@ from .data import (
     stratified_split,
 )
 from .embed import (
-    MODEL_BLR,
     WEIGHTING_LAPLACE,
     WEIGHTING_PRIOR,
     build_projection_basis,
@@ -249,24 +248,31 @@ class ExperimentConfig:
                  "rng_seed", "parallelism", "persist_posteriors", "stream"}
         unknown = set(raw) - known
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-        _require("source" in raw, "config needs a source section")
+        _require(isinstance(raw.get("source"), dict),
+                 "config needs a source section, a JSON object")
+        for name in ("stream", "hmc", "svm"):
+            _require(isinstance(raw.get(name) or {}, dict),
+                     f"{name} section must be a JSON object")
+        # Wrong value types surface as TypeError/ValueError from the
+        # conversions and the spec checks below.
+        try:
+            return cls._from_sections(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
 
+    @classmethod
+    def _from_sections(cls, raw: dict) -> "ExperimentConfig":
         source_raw = dict(raw["source"])
         kind = source_raw.pop("kind", None)
-        try:
-            if kind == "synthetic":
-                source: SyntheticSpec | CsvSpec = SyntheticSpec(**source_raw)
-            elif kind == "csv":
-                source_raw["paths"] = tuple(source_raw.get("paths", ()))
-                columns = source_raw.get("feature_columns")
-                source_raw["feature_columns"] = (
-                    tuple(columns) if columns else None)
-                source = CsvSpec(**source_raw)
-            else:
-                raise ConfigError(f"source kind must be synthetic or csv, "
-                                  f"got {kind!r}")
-        except TypeError as exc:
-            raise ConfigError(f"bad source section: {exc}") from exc
+        if kind == "synthetic":
+            source: SyntheticSpec | CsvSpec = SyntheticSpec(**source_raw)
+        elif kind == "csv":
+            source_raw["paths"] = tuple(source_raw.get("paths", ()))
+            columns = source_raw.get("feature_columns")
+            source_raw["feature_columns"] = tuple(columns) if columns else None
+            source = CsvSpec(**source_raw)
+        else:
+            raise ConfigError(f"source kind must be synthetic or csv, got {kind!r}")
 
         stream = None
         if raw.get("stream"):
@@ -274,13 +280,9 @@ class ExperimentConfig:
             stream_raw["modes"] = tuple(stream_raw.get("modes", ()))
             stream_raw["batch_paths"] = tuple(stream_raw.get("batch_paths", ()))
             stream_raw["test_paths"] = tuple(stream_raw.get("test_paths", ()))
-            try:
-                stream = StreamSpec(**stream_raw)
-            except TypeError as exc:
-                raise ConfigError(f"bad stream section: {exc}") from exc
+            stream = StreamSpec(**stream_raw)
 
-        svm = raw.get("svm", {})
-        _require(isinstance(svm, dict), "svm section must be an object")
+        svm = raw.get("svm") or {}
         return cls(
             source=source,
             embedding_dim=int(raw.get("embedding_dim", 500)),
@@ -478,9 +480,9 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
         _save_splits(config, index, train, test, dropped, train_text, out)
 
     basis = build_projection_basis(
-        MODEL_BLR, train_std, config.embedding_dim,
-        derive_seed(root, "basis", index), weighting=config.weighting)
-    embedding = embed_log_likelihoods(train_std, MODEL_BLR, basis)
+        train_std, config.embedding_dim, derive_seed(root, "basis", index),
+        weighting=config.weighting)
+    embedding = embed_log_likelihoods(train_std, basis)
 
     batch_id = f"ds{index}"
     coresets: dict[str, tuple[Coreset, int]] = {}
@@ -507,25 +509,16 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
         coresets[name] = (built, storage)
 
     for m in config.budgets:
-        store(f"giga_m{m}",
-              giga_construct(embedding, m, MODEL_BLR, batch_id=batch_id))
+        store(f"giga_m{m}", giga_construct(embedding, m, batch_id=batch_id))
     size = min(config.effective_random_size, train.n)
     store("random",
           random_construct(train.n, size, derive_seed(root, "randcs", index),
-                           model_family=MODEL_BLR, batch_id=batch_id))
+                           batch_id=batch_id))
 
     return _PreparedDataset(
         index=index, train=train, test=test, train_std=train_std,
         test_std=test_std, minority_label=minority_label,
         train_bytes=train_bytes, coresets=coresets)
-
-
-def _coreset_model(prepared: _PreparedDataset, built: Coreset,
-                   params_source: Dataset) -> WeightedBLRModel:
-    x, y, weights = materialize(built, {f"ds{prepared.index}": prepared.train})
-    params = fit_standardization(params_source)
-    rows = apply_standardization(Dataset(x, y), params)
-    return WeightedBLRModel(rows.x, rows.y, weights)
 
 
 def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
@@ -547,16 +540,13 @@ def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
         if condition == "blr_full":
             model = WeightedBLRModel.from_dataset(prepared.train_std)
             tag = "full"
-        elif condition == "blr_random":
-            built, storage = prepared.coresets["random"]
-            model = _coreset_model(prepared, built, prepared.train)
-            tag = "random"
-            row.update(_coreset_fields(prepared, built, storage))
         else:
-            m = int(condition.removeprefix("blr_coreset_m"))
-            built, storage = prepared.coresets[f"giga_m{m}"]
-            model = _coreset_model(prepared, built, prepared.train)
-            tag = f"m{m}"
+            # blr_random -> "random", blr_coreset_m<m> -> "m<m>" (giga_m<m>).
+            tag = condition.removeprefix("blr_").removeprefix("coreset_")
+            built, storage = prepared.coresets[
+                tag if tag == "random" else f"giga_{tag}"]
+            model = WeightedBLRModel(
+                *materialize(built, {f"ds{index}": prepared.train_std}))
             row.update(_coreset_fields(prepared, built, storage))
 
         started = time.perf_counter()

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -190,18 +190,14 @@ class PosteriorSamples:
         return self.draws.shape[0]
 
     def settings_dict(self) -> dict:
-        return {
-            "acceptance_rate": self.acceptance_rate,
-            "step_size": self.step_size,
-            "leapfrog_steps": self.leapfrog_steps,
-            "burn_in": self.burn_in,
-            "thinning": self.thinning,
-            "rng_seed": self.rng_seed,
-            "n_divergent": self.n_divergent,
-            "weight_rescale": self.weight_rescale,
-            "n_draws": int(self.draws.shape[0]),
-            "f": int(self.draws.shape[1]),
-        }
+        """Every field but the draws, then the draws' shape."""
+        return {**{name: getattr(self, name) for name in _SETTINGS},
+                "n_draws": int(self.draws.shape[0]),
+                "f": int(self.draws.shape[1])}
+
+
+# The settings a posterior's JSON sidecar holds, in field order.
+_SETTINGS = tuple(f.name for f in fields(PosteriorSamples) if f.name != "draws")
 
 
 def _leapfrog(model, theta, grad, p, eps, n_steps):
@@ -464,14 +460,4 @@ def load_posterior(stem: str | Path) -> PosteriorSamples:
         raise DataError(f"{stem}: posterior artifacts missing")
     draws = np.load(npy)
     meta = json.loads(meta_path.read_text())
-    return PosteriorSamples(
-        draws=draws,
-        acceptance_rate=meta["acceptance_rate"],
-        step_size=meta["step_size"],
-        leapfrog_steps=meta["leapfrog_steps"],
-        burn_in=meta["burn_in"],
-        thinning=meta["thinning"],
-        rng_seed=meta["rng_seed"],
-        n_divergent=meta["n_divergent"],
-        weight_rescale=meta["weight_rescale"],
-    )
+    return PosteriorSamples(draws=draws, **{name: meta[name] for name in _SETTINGS})

@@ -23,12 +23,7 @@ import numpy as np
 
 from .coreset import Coreset, aggregate, giga_construct, materialize, random_construct
 from .data import Dataset, apply_standardization, fit_standardization
-from .embed import (
-    MODEL_BLR,
-    WEIGHTING_LAPLACE,
-    build_projection_basis,
-    embed_log_likelihoods,
-)
+from .embed import WEIGHTING_LAPLACE, build_projection_basis, embed_log_likelihoods
 from .errors import ConfigError, DataError
 from .inference import WeightedBLRModel, accuracy, hmc_sample
 from .seeds import derive_seed
@@ -65,7 +60,6 @@ class StreamPlan:
     coreset_budget: int = 500
     embedding_dim: int = 500
     rng_seed: int = 0
-    model_family: str = MODEL_BLR
     weighting: str = WEIGHTING_LAPLACE
     eval_scope: str = EVAL_UNION
     hmc: Mapping[str, float] = field(default_factory=dict)
@@ -131,19 +125,17 @@ def _reduce_batch(plan: StreamPlan, step: int, batch_id: str,
         size = min(plan.coreset_budget, batch.n)
         return random_construct(
             batch.n, size, derive_seed(plan.rng_seed, "reduce", step),
-            model_family=plan.model_family, batch_id=batch_id,
+            batch_id=batch_id,
         )
     # The pilot sees only this batch: streaming assumes no lookahead.
     params = fit_standardization(batch)
     std = apply_standardization(batch, params)
     basis = build_projection_basis(
-        plan.model_family, std, plan.embedding_dim,
-        derive_seed(plan.rng_seed, "basis", step), weighting=plan.weighting,
+        std, plan.embedding_dim, derive_seed(plan.rng_seed, "basis", step),
+        weighting=plan.weighting,
     )
-    embedding = embed_log_likelihoods(std, plan.model_family, basis)
-    return giga_construct(
-        embedding, plan.coreset_budget, plan.model_family, batch_id=batch_id
-    )
+    embedding = embed_log_likelihoods(std, basis)
+    return giga_construct(embedding, plan.coreset_budget, batch_id=batch_id)
 
 
 def run_stream(plan: StreamPlan) -> list[StepRecord]:

@@ -22,11 +22,7 @@ from flowcoreset.coreset import (
     reconstruction_residual,
 )
 from flowcoreset.data import generate_synthetic, stratified_split
-from flowcoreset.embed import (
-    MODEL_BLR,
-    build_projection_basis,
-    embed_log_likelihoods,
-)
+from flowcoreset.embed import build_projection_basis, embed_log_likelihoods
 from flowcoreset.experiments import _prepare_dataset, run_offline
 from flowcoreset.inference import (
     WeightedBLRModel,
@@ -162,10 +158,10 @@ class TestCoresetStructure:
         for s in range(10):
             p = prepared[s % 5]
             basis = build_projection_basis(
-                MODEL_BLR, p.train_std, sim1_config.embedding_dim,
+                p.train_std, sim1_config.embedding_dim,
                 derive_seed(0, "basis", s % 5),
                 weighting=sim1_config.weighting)
-            embedding = embed_log_likelihoods(p.train_std, MODEL_BLR, basis)
+            embedding = embed_log_likelihoods(p.train_std, basis)
             giga = p.coresets["giga_m100"][0]
             rand = random_construct(p.train.n, giga.size,
                                     derive_seed(0, "c9", s))
@@ -245,9 +241,9 @@ def tiny_embedding(rng, n=6, f=2, d=3):
     data = generate_synthetic(n // 2, n - n // 2, f=f, separation=2.0,
                               rng_seed=int(rng.integers(1 << 31)))
     basis = build_projection_basis(
-        MODEL_BLR, data, d=d, rng_seed=int(rng.integers(1 << 31)),
+        data, d=d, rng_seed=int(rng.integers(1 << 31)),
         weighting="prior")
-    return embed_log_likelihoods(data, MODEL_BLR, basis)
+    return embed_log_likelihoods(data, basis)
 
 
 def brute_force_residual(vectors, m):

@@ -92,6 +92,14 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run")])
         assert code == 1
 
+    def test_malformed_config_value_exits_one(self, tmp_path, caplog):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, "embedding_dim": "many"}))
+        code = main(["offline", "--config", str(path),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "config error:" in caplog.text
+
     def test_bad_budget_override_exits_one(self, tmp_path, capsys):
         code = main(["offline", "--config", "sim1", "--budgets", "a,b",
                      "--out", str(tmp_path / "run")])

@@ -1,6 +1,7 @@
 """Tests for coreset constructions against brute-force and grid oracles."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -31,9 +32,9 @@ def random_embedding(rng, n=20, f=3, d=8, n_pos=None):
     data = generate_synthetic(n_pos, n - n_pos, f=f, separation=2.0,
                               rng_seed=int(rng.integers(1 << 31)))
     basis = build_projection_basis(
-        "blr", data, d=d, rng_seed=int(rng.integers(1 << 31)), weighting="prior"
+        data, d=d, rng_seed=int(rng.integers(1 << 31)), weighting="prior"
     )
-    return embed_log_likelihoods(data, "blr", basis)
+    return embed_log_likelihoods(data, basis)
 
 
 def brute_force_residual(vectors, m):
@@ -104,8 +105,8 @@ class TestGigaConstruct:
         x = np.tile(np.array([[0.8, -0.4]]), (7, 1))
         data = Dataset(x, np.ones(7))
         basis = ProjectionBasis(np.array([[0.3, 0.1], [1.0, -1.0], [0.2, 2.0]]),
-                                "blr", "prior", 0)
-        emb = embed_log_likelihoods(data, "blr", basis)
+                                "prior", 0)
+        emb = embed_log_likelihoods(data, basis)
         coreset = giga_construct(emb, m=5)
         assert coreset.size == 1
         np.testing.assert_allclose(coreset.weights, [7.0], rtol=1e-12)
@@ -117,8 +118,8 @@ class TestGigaConstruct:
         the total and ties break to the lowest index."""
         rng = np.random.default_rng(2)
         data = Dataset(rng.normal(size=(5, 2)), rng.choice([-1.0, 1.0], size=5))
-        basis = ProjectionBasis(rng.normal(size=(1, 2)), "blr", "prior", 0)
-        emb = embed_log_likelihoods(data, "blr", basis)
+        basis = ProjectionBasis(rng.normal(size=(1, 2)), "prior", 0)
+        emb = embed_log_likelihoods(data, basis)
         coreset = giga_construct(emb, m=3)
         assert coreset.size == 1
         assert coreset.row_indices[0] == 0
@@ -182,16 +183,16 @@ class TestGigaConstruct:
         """A saturated row is not a candidate even with a large budget."""
         x = np.vstack([np.full((1, 1), 1.0), np.full((5, 1), 1e-3)])
         data = Dataset(x, np.ones(6))
-        basis = ProjectionBasis(np.array([[800.0]]), "blr", "prior", 0)
-        emb = embed_log_likelihoods(data, "blr", basis)
+        basis = ProjectionBasis(np.array([[800.0]]), "prior", 0)
+        emb = embed_log_likelihoods(data, basis)
         assert emb.norms[0] == 0.0
         coreset = giga_construct(emb, m=6)
         assert 0 not in coreset.row_indices
 
     def test_all_zero_embedding_raises(self):
         data = Dataset(np.full((3, 1), 1.0), np.ones(3))
-        basis = ProjectionBasis(np.array([[800.0]]), "blr", "prior", 0)
-        emb = embed_log_likelihoods(data, "blr", basis)
+        basis = ProjectionBasis(np.array([[800.0]]), "prior", 0)
+        emb = embed_log_likelihoods(data, basis)
         with pytest.raises(DataError):
             giga_construct(emb, m=2)
 
@@ -213,8 +214,8 @@ class TestFrankWolfeConstruct:
     def test_single_sample_is_exact(self):
         rng = np.random.default_rng(10)
         data = Dataset(rng.normal(size=(1, 2)), np.array([1.0]))
-        basis = ProjectionBasis(rng.normal(size=(4, 2)), "blr", "prior", 0)
-        emb = embed_log_likelihoods(data, "blr", basis)
+        basis = ProjectionBasis(rng.normal(size=(4, 2)), "prior", 0)
+        emb = embed_log_likelihoods(data, basis)
         coreset = frankwolfe_construct(emb, m=3)
         assert coreset.size == 1
         np.testing.assert_allclose(coreset.weights, [1.0], rtol=1e-12)
@@ -239,8 +240,8 @@ class TestFrankWolfeConstruct:
         x = np.tile(np.array([[1.0, 0.5]]), (4, 1))
         data = Dataset(x, np.ones(4))
         basis = ProjectionBasis(np.array([[0.2, 0.4], [1.0, -0.3]]),
-                                "blr", "prior", 0)
-        emb = embed_log_likelihoods(data, "blr", basis)
+                                "prior", 0)
+        emb = embed_log_likelihoods(data, basis)
         coreset = frankwolfe_construct(emb, m=4)
         assert coreset.size == 1
         np.testing.assert_allclose(coreset.weights, [4.0], rtol=1e-12)
@@ -300,12 +301,11 @@ class TestRandomConstruct:
 
 
 class TestAggregate:
-    def make(self, batch_id, rows, weights, family="blr"):
+    def make(self, batch_id, rows, weights):
         return Coreset(
             batch_ids=(batch_id,) * len(rows),
             row_indices=np.array(rows),
             weights=np.array(weights, dtype=float),
-            model_family=family,
         )
 
     def test_sizes_add_and_weights_pass_through(self):
@@ -317,12 +317,6 @@ class TestAggregate:
         np.testing.assert_array_equal(merged.weights[84:], b.weights)
         assert merged.batch_ids[:84] == a.batch_ids
         assert merged.batch_ids[84:] == b.batch_ids
-
-    def test_family_mismatch_raises(self):
-        a = self.make("t1", [0], [1.0], family="blr")
-        b = self.make("t2", [0], [1.0], family="any")
-        with pytest.raises(DataError):
-            aggregate([a, b])
 
     def test_colliding_entries_raise(self):
         a = self.make("t1", [0, 1], [1.0, 2.0])
@@ -342,7 +336,6 @@ class TestMaterialize:
             batch_ids=("a", "b", "a"),
             row_indices=np.array([1, 0, 0]),
             weights=np.array([2.0, 3.0, 4.0]),
-            model_family="blr",
         )
         x, y, w = materialize(coreset, {"a": d1, "b": d2})
         np.testing.assert_allclose(x, [[2.0], [3.0], [1.0]])
@@ -350,12 +343,12 @@ class TestMaterialize:
         np.testing.assert_allclose(w, [2.0, 3.0, 4.0])
 
     def test_unknown_batch_raises(self):
-        coreset = Coreset(("a",), np.array([0]), np.array([1.0]), "blr")
+        coreset = Coreset(("a",), np.array([0]), np.array([1.0]))
         with pytest.raises(DataError):
             materialize(coreset, {"b": Dataset(np.ones((1, 1)), np.ones(1))})
 
     def test_out_of_range_row_raises(self):
-        coreset = Coreset(("a",), np.array([5]), np.array([1.0]), "blr")
+        coreset = Coreset(("a",), np.array([5]), np.array([1.0]))
         with pytest.raises(DataError):
             materialize(coreset, {"a": Dataset(np.ones((2, 1)), np.ones(2))})
 
@@ -363,19 +356,13 @@ class TestMaterialize:
 class TestCoresetType:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(DataError):
-            Coreset(("a",), np.array([0]), np.array([0.0]), "blr")
+            Coreset(("a",), np.array([0]), np.array([0.0]))
         with pytest.raises(DataError):
-            Coreset(("a",), np.array([0]), np.array([-1.0]), "blr")
-
-    def test_rejects_empty_family(self):
-        with pytest.raises(DataError):
-            Coreset(("a",), np.array([0]), np.array([1.0]), "")
+            Coreset(("a",), np.array([0]), np.array([-1.0]))
 
     def test_rejects_duplicate_entries(self):
         with pytest.raises(DataError):
-            Coreset(
-                ("a", "a"), np.array([3, 3]), np.array([1.0, 2.0]), "blr"
-            )
+            Coreset(("a", "a"), np.array([3, 3]), np.array([1.0, 2.0]))
 
 
 class TestSerialization:
@@ -389,16 +376,29 @@ class TestSerialization:
         np.testing.assert_array_equal(back.row_indices, coreset.row_indices)
         np.testing.assert_array_equal(back.weights, coreset.weights)
         assert back.batch_ids == coreset.batch_ids
-        assert back.model_family == coreset.model_family
         assert back.construction.method == "giga"
         assert back.construction.iterations_run == coreset.construction.iterations_run
         np.testing.assert_allclose(
             back.construction.alignment_trace, coreset.construction.alignment_trace
         )
 
+    def test_loads_file_carrying_retired_model_family_key(self, tmp_path):
+        """Coreset files written before the tag was dropped still load."""
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "model_family": "blr",
+            "entries": [{"batch_id": "ds0", "row_index": 4, "weight": 2.5}],
+            "construction": None,
+        }))
+        back = load_coreset(path)
+        assert back.batch_ids == ("ds0",)
+        np.testing.assert_array_equal(back.row_indices, [4])
+        np.testing.assert_array_equal(back.weights, [2.5])
+        assert "model_family" not in back.to_dict()
+
     def test_aggregate_without_diagnostics_round_trips(self, tmp_path):
-        a = Coreset(("t1",), np.array([0]), np.array([1.0]), "blr")
-        b = Coreset(("t2",), np.array([4]), np.array([2.5]), "blr")
+        a = Coreset(("t1",), np.array([0]), np.array([1.0]))
+        b = Coreset(("t2",), np.array([4]), np.array([2.5]))
         merged = aggregate([a, b])
         save_coreset(merged, tmp_path / "agg.json")
         back = load_coreset(tmp_path / "agg.json")

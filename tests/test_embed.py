@@ -18,7 +18,6 @@ from flowcoreset.inference import WeightedBLRModel, fit_map, laplace_scales
 def manual_basis(theta_draws):
     return ProjectionBasis(
         theta_draws=np.asarray(theta_draws, dtype=float),
-        model_family="blr",
         weighting="prior",
         rng_seed=0,
     )
@@ -27,26 +26,26 @@ def manual_basis(theta_draws):
 class TestBuildProjectionBasis:
     def test_shape_and_determinism(self):
         pilot = generate_synthetic(800, 80, f=20, separation=4.0, rng_seed=0)
-        a = build_projection_basis("blr", pilot, d=500, rng_seed=1)
-        b = build_projection_basis("blr", pilot, d=500, rng_seed=1)
+        a = build_projection_basis(pilot, d=500, rng_seed=1)
+        b = build_projection_basis(pilot, d=500, rng_seed=1)
         assert a.theta_draws.shape == (500, 20)
         np.testing.assert_array_equal(a.theta_draws, b.theta_draws)
 
     def test_single_dimension_basis(self):
         pilot = generate_synthetic(30, 30, f=4, separation=2.0, rng_seed=2)
-        basis = build_projection_basis("blr", pilot, d=1, rng_seed=3)
+        basis = build_projection_basis(pilot, d=1, rng_seed=3)
         assert basis.theta_draws.shape == (1, 4)
 
     def test_prior_weighting_is_standard_normal(self):
         pilot = generate_synthetic(10, 10, f=3, separation=5.0, rng_seed=4)
-        basis = build_projection_basis("blr", pilot, d=4000, rng_seed=5,
+        basis = build_projection_basis(pilot, d=4000, rng_seed=5,
                                        weighting="prior")
         assert np.all(np.abs(basis.theta_draws.mean(axis=0)) < 0.08)
         assert np.all(np.abs(basis.theta_draws.std(axis=0) - 1.0) < 0.08)
 
     def test_laplace_weighting_centres_on_map(self):
         pilot = generate_synthetic(200, 100, f=3, separation=3.0, rng_seed=6)
-        basis = build_projection_basis("blr", pilot, d=4000, rng_seed=7)
+        basis = build_projection_basis(pilot, d=4000, rng_seed=7)
         model = WeightedBLRModel.from_dataset(pilot)
         theta_map = fit_map(model)
         scales = laplace_scales(model, theta_map)
@@ -60,12 +59,10 @@ class TestBuildProjectionBasis:
     def test_unknown_family_or_weighting_raises(self):
         pilot = generate_synthetic(5, 5, f=2, separation=1.0, rng_seed=8)
         with pytest.raises(ConfigError):
-            build_projection_basis("gp", pilot, d=10, rng_seed=0)
-        with pytest.raises(ConfigError):
-            build_projection_basis("blr", pilot, d=10, rng_seed=0,
+            build_projection_basis(pilot, d=10, rng_seed=0,
                                    weighting="bootstrap")
         with pytest.raises(ConfigError):
-            build_projection_basis("blr", pilot, d=0, rng_seed=0)
+            build_projection_basis(pilot, d=0, rng_seed=0)
 
 
 class TestEmbedLogLikelihoods:
@@ -76,7 +73,7 @@ class TestEmbedLogLikelihoods:
         y = rng.choice([-1.0, 1.0], size=5)
         data = Dataset(x, y)
         basis = manual_basis(rng.normal(size=(3, 2)))
-        emb = embed_log_likelihoods(data, "blr", basis)
+        emb = embed_log_likelihoods(data, basis)
         for i in range(5):
             for d in range(3):
                 margin = y[i] * float(basis.theta_draws[d] @ x[i])
@@ -87,14 +84,14 @@ class TestEmbedLogLikelihoods:
         """A zero feature vector embeds as -log(2)/sqrt(d) everywhere."""
         data = Dataset(np.zeros((1, 2)), np.array([1.0]))
         basis = manual_basis([[5.0, -3.0], [0.1, 0.2], [1.0, 1.0], [2.0, 0.0]])
-        emb = embed_log_likelihoods(data, "blr", basis)
+        emb = embed_log_likelihoods(data, basis)
         np.testing.assert_allclose(emb.vectors[0], -math.log(2.0) / 2.0)
 
     def test_duplicate_rows_embed_identically(self):
         x = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, -1.0]])
         y = np.array([1.0, 1.0, -1.0])
         basis = manual_basis(np.random.default_rng(10).normal(size=(6, 2)))
-        emb = embed_log_likelihoods(Dataset(x, y), "blr", basis)
+        emb = embed_log_likelihoods(Dataset(x, y), basis)
         np.testing.assert_array_equal(emb.vectors[0], emb.vectors[1])
 
     def test_row_order_follows_dataset_order(self):
@@ -102,23 +99,23 @@ class TestEmbedLogLikelihoods:
         x = rng.normal(size=(6, 3))
         y = rng.choice([-1.0, 1.0], size=6)
         basis = manual_basis(rng.normal(size=(4, 3)))
-        emb = embed_log_likelihoods(Dataset(x, y), "blr", basis)
+        emb = embed_log_likelihoods(Dataset(x, y), basis)
         perm = rng.permutation(6)
-        emb_perm = embed_log_likelihoods(Dataset(x[perm], y[perm]), "blr", basis)
+        emb_perm = embed_log_likelihoods(Dataset(x[perm], y[perm]), basis)
         np.testing.assert_array_equal(emb_perm.vectors, emb.vectors[perm])
 
     def test_total_vector_is_row_sum(self):
         rng = np.random.default_rng(12)
         data = Dataset(rng.normal(size=(7, 2)), rng.choice([-1.0, 1.0], size=7))
         basis = manual_basis(rng.normal(size=(5, 2)))
-        emb = embed_log_likelihoods(data, "blr", basis)
+        emb = embed_log_likelihoods(data, basis)
         np.testing.assert_allclose(emb.total_vector, emb.vectors.sum(axis=0))
 
     def test_saturated_rows_are_flagged_zero_norm(self):
         """Margins past the underflow point embed with norm zero."""
         data = Dataset(np.array([[1.0], [0.125]]), np.array([1.0, 1.0]))
         basis = manual_basis([[800.0]])
-        emb = embed_log_likelihoods(data, "blr", basis)
+        emb = embed_log_likelihoods(data, basis)
         assert emb.norms[0] == 0.0
         assert emb.norms[1] != 0.0
 
@@ -126,24 +123,21 @@ class TestEmbedLogLikelihoods:
         rng = np.random.default_rng(13)
         data = Dataset(rng.normal(size=(4, 2)), rng.choice([-1.0, 1.0], size=4))
         basis = manual_basis(rng.normal(size=(8, 2)))
-        emb = embed_log_likelihoods(data, "blr", basis)
+        emb = embed_log_likelihoods(data, basis)
         np.testing.assert_allclose(
             emb.norms, np.linalg.norm(emb.vectors, axis=1), rtol=1e-15
         )
 
     def test_family_and_dimension_mismatch_raise(self):
-        data = Dataset(np.ones((2, 2)), np.array([1.0, -1.0]))
         basis = manual_basis(np.ones((3, 2)))
-        with pytest.raises(DataError):
-            embed_log_likelihoods(data, "gp", basis)
         wide = Dataset(np.ones((2, 3)), np.array([1.0, -1.0]))
         with pytest.raises(DataError):
-            embed_log_likelihoods(wide, "blr", basis)
+            embed_log_likelihoods(wide, basis)
 
     def test_same_seed_is_bitwise_reproducible(self):
         pilot = generate_synthetic(100, 10, f=5, separation=4.0, rng_seed=14)
-        basis_a = build_projection_basis("blr", pilot, d=50, rng_seed=15)
-        basis_b = build_projection_basis("blr", pilot, d=50, rng_seed=15)
-        emb_a = embed_log_likelihoods(pilot, "blr", basis_a)
-        emb_b = embed_log_likelihoods(pilot, "blr", basis_b)
+        basis_a = build_projection_basis(pilot, d=50, rng_seed=15)
+        basis_b = build_projection_basis(pilot, d=50, rng_seed=15)
+        emb_a = embed_log_likelihoods(pilot, basis_a)
+        emb_b = embed_log_likelihoods(pilot, basis_b)
         np.testing.assert_array_equal(emb_a.vectors, emb_b.vectors)

@@ -102,6 +102,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(stream={"modes": ["pool_full"], "n_batches": 0})
 
+    @pytest.mark.parametrize("override", [
+        {"source": "synthetic"},
+        {"embedding_dim": "many"},
+        {"hmc": [1]},
+        {"stream": "yes"},
+    ])
+    def test_malformed_values_are_config_errors(self, override):
+        with pytest.raises(ConfigError):
+            tiny_config(**override)
+
     def test_random_size_defaults_to_smallest_budget(self):
         config = tiny_config(random_size=None)
         assert config.effective_random_size == 15

@@ -185,8 +185,8 @@ class TestOfflineEquivalence:
         params = fit_standardization(batch)
         std = apply_standardization(batch, params)
         basis = build_projection_basis(
-            "blr", std, 40, derive_seed(plan.rng_seed, "basis", 0))
-        embedding = embed_log_likelihoods(std, "blr", basis)
+            std, 40, derive_seed(plan.rng_seed, "basis", 0))
+        embedding = embed_log_likelihoods(std, basis)
         direct = giga_construct(embedding, 25, batch_id="t0")
         assert record.added_coreset.row_indices.tolist() == \
             direct.row_indices.tolist()
