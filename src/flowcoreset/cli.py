@@ -36,6 +36,7 @@ from .data import (
 from .embed import build_projection_basis, embed_log_likelihoods
 from .errors import ConfigError, DataError, NumericalError
 from .experiments import (
+    HMC_KEYS,
     ExperimentConfig,
     load_config,
     prepare_datasets,
@@ -51,7 +52,6 @@ from .inference import (
     save_posterior,
 )
 from .seeds import derive_seed
-from .stream import HMC_KEYS
 
 log = logging.getLogger("flowcoreset")
 
@@ -153,8 +153,10 @@ def cmd_train(args) -> int:
     else:
         params = fit_standardization(data)
         model = WeightedBLRModel.from_dataset(apply_standardization(data, params))
-    # The sampler flags' argparse names are the HMC_KEYS.
-    settings = {key: getattr(args, key) for key in HMC_KEYS}
+    # The sampler flags' argparse names are the HMC_KEYS; a flag left unset
+    # leaves hmc_sample's default.
+    settings = {key: getattr(args, key) for key in HMC_KEYS
+                if getattr(args, key) is not None}
     posterior = hmc_sample(model, rng_seed=args.seed, **settings)
     save_posterior(posterior, args.out)
     _standardization_path(args.out).write_text(
@@ -249,13 +251,13 @@ def build_parser() -> _Parser:
     p.add_argument("--coreset", default=None)
     p.add_argument("--out", required=True, help="output stem for .npy/.json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--total-samples", type=int, default=10000)
-    p.add_argument("--burn-frac", type=float, default=0.5)
-    p.add_argument("--thin", type=int, default=2)
-    p.add_argument("--target-accept", type=float, default=0.8)
-    p.add_argument("--leapfrog-steps", type=int, default=20)
-    p.add_argument("--jitter", type=float, default=0.2)
-    p.add_argument("--initial-step-size", type=float, default=None,
+    p.add_argument("--total-samples", type=int)
+    p.add_argument("--burn-frac", type=float)
+    p.add_argument("--thin", type=int)
+    p.add_argument("--target-accept", type=float)
+    p.add_argument("--leapfrog-steps", type=int)
+    p.add_argument("--jitter", type=float)
+    p.add_argument("--initial-step-size", type=float,
                    help="skip the automatic step-size search")
     p.set_defaults(func=cmd_train)
 

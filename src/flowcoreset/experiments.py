@@ -19,12 +19,13 @@ import csv
 import json
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .coreset import Coreset, giga_construct, materialize, random_construct
+from .coreset import Coreset, giga_construct, materialize, random_construct, save_coreset
 from .data import (
     CsvSchema,
     Dataset,
@@ -55,7 +56,6 @@ from .inference import (
 from .seeds import derive_seed
 from .stream import (
     EVAL_SCOPES,
-    HMC_KEYS,
     MODES,
     StepRecord,
     StreamPlan,
@@ -71,6 +71,13 @@ _TIMING_NOTE = (
 def _require(condition: bool, message: str):
     if not condition:
         raise ConfigError(message)
+
+
+# Sampler settings a config may forward to hmc_sample, each with the type
+# it takes; only initial_step_size may be null.
+HMC_KEYS = {"total_samples": Integral, "burn_frac": Real, "thin": Integral,
+            "target_accept": Real, "leapfrog_steps": Integral,
+            "jitter": Real, "initial_step_size": (Real, type(None))}
 
 
 @dataclass(frozen=True)
@@ -151,10 +158,6 @@ class StreamSpec:
             for name in ("batch_pos", "batch_neg", "test_pos", "test_neg"):
                 _require(getattr(self, name) >= 1, f"{name} must be positive")
 
-    @property
-    def steps(self) -> int:
-        return len(self.batch_paths) if self.batch_paths else self.n_batches
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -163,7 +166,7 @@ class ExperimentConfig:
     budgets: tuple[int, ...] = (100, 500, 1000)
     random_size: int | None = None
     weighting: str = WEIGHTING_LAPLACE
-    hmc: dict | None = None
+    hmc: dict = field(default_factory=dict)
     predict_draws: int = 1000
     svm_epochs: int = 5
     svm_reg: float = 1e-3
@@ -182,22 +185,23 @@ class ExperimentConfig:
             _require(self.random_size >= 1, "random_size must be positive")
         _require(self.weighting in (WEIGHTING_LAPLACE, WEIGHTING_PRIOR),
                  f"unknown weighting {self.weighting!r}")
-        if self.hmc:
-            unknown = set(self.hmc) - HMC_KEYS
-            _require(not unknown, f"unknown hmc settings: {sorted(unknown)}")
+        for key, value in self.hmc.items():
+            _require(key in HMC_KEYS, f"unknown hmc setting {key!r}")
+            kind = HMC_KEYS[key]
+            _require(isinstance(value, kind) and not isinstance(value, bool),
+                     f"hmc {key} must be a "
+                     f"{'whole ' if kind is Integral else ''}number, got {value!r}")
         _require(self.predict_draws >= 1, "predict_draws must be at least 1")
         _require(self.svm_epochs >= 1, "svm_epochs must be at least 1")
         _require(self.svm_reg > 0.0, "svm_reg must be positive")
         _require(self.repetitions >= 1, "repetitions must be at least 1")
         _require(self.rng_seed >= 0, "rng_seed must be nonnegative")
+        _require(isinstance(self.persist_posteriors, bool),
+                 "persist_posteriors must be true or false")
 
     @property
     def effective_random_size(self) -> int:
         return self.random_size if self.random_size else min(self.budgets)
-
-    @property
-    def hmc_settings(self) -> dict:
-        return dict(self.hmc or {})
 
     @property
     def n_datasets(self) -> int:
@@ -206,47 +210,18 @@ class ExperimentConfig:
         return len(self.source.paths)
 
     def to_dict(self) -> dict:
-        source: dict = {}
-        if isinstance(self.source, SyntheticSpec):
-            source = {"kind": "synthetic", **self.source.__dict__}
-        else:
-            source = {"kind": "csv", **self.source.__dict__}
-            source["paths"] = list(source["paths"])
-            if source["feature_columns"] is not None:
-                source["feature_columns"] = list(source["feature_columns"])
-        out = {
-            "source": source,
-            "embedding_dim": self.embedding_dim,
-            "budgets": list(self.budgets),
-            "random_size": self.random_size,
-            "weighting": self.weighting,
-            "hmc": self.hmc_settings,
-            "predict_draws": self.predict_draws,
-            "svm": {"epochs": self.svm_epochs, "reg": self.svm_reg},
-            "repetitions": self.repetitions,
-            "rng_seed": self.rng_seed,
-            "persist_posteriors": self.persist_posteriors,
-            "stream": None,
-        }
-        if self.stream is not None:
-            stream = dict(self.stream.__dict__)
-            stream["modes"] = list(stream["modes"])
-            stream["batch_paths"] = list(stream["batch_paths"])
-            stream["test_paths"] = list(stream["test_paths"])
-            out["stream"] = stream
+        """The config's JSON form, the one from_dict reads."""
+        out = asdict(self)
+        kind = "synthetic" if isinstance(self.source, SyntheticSpec) else "csv"
+        out["source"] = {"kind": kind, **out["source"]}
+        out["svm"] = {"epochs": out.pop("svm_epochs"), "reg": out.pop("svm_reg")}
         return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        # "parallelism" is a retired key that configs written before its
-        # retirement still carry, every older run directory's config.json
-        # among them; it is accepted and ignored so they keep loading.
-        known = {"source", "embedding_dim", "budgets", "random_size",
-                 "weighting", "hmc", "predict_draws", "svm", "repetitions",
-                 "rng_seed", "parallelism", "persist_posteriors", "stream"}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(_FIELD_KEYS) - set(_SECTION_KEYS)
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
         _require(isinstance(raw.get("source"), dict),
                  "config needs a source section, a JSON object")
@@ -282,23 +257,33 @@ class ExperimentConfig:
             stream_raw["test_paths"] = tuple(stream_raw.get("test_paths", ()))
             stream = StreamSpec(**stream_raw)
 
+        settings = {name: convert(raw[name])
+                    for name, convert in _FIELD_KEYS.items() if name in raw}
         svm = raw.get("svm") or {}
-        return cls(
-            source=source,
-            embedding_dim=int(raw.get("embedding_dim", 500)),
-            budgets=tuple(int(m) for m in raw.get("budgets", (100, 500, 1000))),
-            random_size=(int(raw["random_size"])
-                         if raw.get("random_size") else None),
-            weighting=raw.get("weighting", WEIGHTING_LAPLACE),
-            hmc=dict(raw.get("hmc") or {}),
-            predict_draws=int(raw.get("predict_draws", 1000)),
-            svm_epochs=int(svm.get("epochs", 5)),
-            svm_reg=float(svm.get("reg", 1e-3)),
-            repetitions=int(raw.get("repetitions", 1)),
-            rng_seed=int(raw.get("rng_seed", 0)),
-            persist_posteriors=bool(raw.get("persist_posteriors", False)),
-            stream=stream,
-        )
+        unknown = set(svm) - set(_SVM_KEYS)
+        _require(not unknown, f"unknown svm settings: {sorted(unknown)}")
+        settings.update({f"svm_{key}": _SVM_KEYS[key](value)
+                         for key, value in svm.items()})
+        return cls(source=source, stream=stream, **settings)
+
+
+# Top-level config keys that set one field each, with the conversion of
+# their JSON value. Only the keys a config holds are passed, so each default
+# lives in the dataclass alone. "parallelism" is retired; older configs and
+# run directories still carry it, so it is accepted and ignored.
+_FIELD_KEYS = {
+    "embedding_dim": int,
+    "budgets": lambda budgets: tuple(int(m) for m in budgets),
+    "random_size": lambda size: None if size is None else int(size),
+    "weighting": str,
+    "hmc": lambda hmc: dict(hmc or {}),
+    "predict_draws": int,
+    "repetitions": int,
+    "rng_seed": int,
+    "persist_posteriors": lambda flag: flag,
+}
+_SECTION_KEYS = ("source", "svm", "stream", "parallelism")
+_SVM_KEYS = {"epochs": int, "reg": float}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -403,7 +388,6 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
 class _PreparedDataset:
     index: int
     train: Dataset
-    test: Dataset
     train_std: Dataset
     test_std: Dataset
     minority_label: float
@@ -495,15 +479,14 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
                      if k != "construction"}
         x, y, _ = materialize(built, {batch_id: train})
         rows = Dataset(x, y)
+        rows_text = dataset_csv_text(rows)
         storage = (len(json.dumps(essential, indent=2).encode())
-                   + len(dataset_csv_text(rows).encode()))
+                   + len(rows_text.encode()))
         if out is not None:
-            coresets_dir = out / "coresets"
-            coresets_dir.mkdir(parents=True, exist_ok=True)
-            stem = coresets_dir / f"ds{index}_{name}"
-            payload = json.dumps(built.to_dict(), indent=2, sort_keys=True)
-            stem.with_suffix(".json").write_text(payload)
-            save_dataset(rows, coresets_dir / f"ds{index}_{name}_rows.csv",
+            stem = f"ds{index}_{name}"
+            save_coreset(built, out / "coresets" / f"{stem}.json")
+            save_dataset(rows, out / "coresets" / f"{stem}_rows.csv",
+                         text=rows_text,
                          provenance={"role": "coreset_rows",
                                      "dataset": index, "name": name})
         coresets[name] = (built, storage)
@@ -516,7 +499,7 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
                            batch_id=batch_id))
 
     return _PreparedDataset(
-        index=index, train=train, test=test, train_std=train_std,
+        index=index, train=train, train_std=train_std,
         test_std=test_std, minority_label=minority_label,
         train_bytes=train_bytes, coresets=coresets)
 
@@ -552,7 +535,7 @@ def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
         started = time.perf_counter()
         posterior = hmc_sample(
             model, rng_seed=derive_seed(root, "hmc", index, tag, rep),
-            **config.hmc_settings)
+            **config.hmc)
         row["train_seconds"] = time.perf_counter() - started
         draws = min(config.predict_draws, posterior.n_draws)
         row["accuracy"] = accuracy(posterior, prepared.test_std, n_draws=draws)
@@ -736,9 +719,6 @@ def run_stream_experiment(
     StepRecords (with their coresets) for callers that inspect
     construction diagnostics.
     """
-    spec = config.stream
-    if spec is None:
-        raise ConfigError("config has no stream section")
     arms = stream_arms(config, mode_override)
 
     out = Path(out_dir) if out_dir is not None else None
@@ -758,8 +738,9 @@ def run_stream_experiment(
                 embedding_dim=config.embedding_dim,
                 rng_seed=derive_seed(config.rng_seed, "stream", "arm", rep,
                                      mode, budget or 0),
-                weighting=config.weighting, eval_scope=spec.eval_scope,
-                hmc=config.hmc_settings, predict_draws=config.predict_draws,
+                weighting=config.weighting,
+                eval_scope=config.stream.eval_scope,
+                hmc=config.hmc, predict_draws=config.predict_draws,
             )
             try:
                 records = run_stream(plan)

@@ -37,12 +37,6 @@ EVAL_UNION = "union"
 EVAL_CURRENT = "current"
 EVAL_SCOPES = (EVAL_UNION, EVAL_CURRENT)
 
-# Sampler settings a config or a stream plan may forward to hmc_sample.
-HMC_KEYS = frozenset(
-    {"total_samples", "burn_frac", "thin", "target_accept",
-     "leapfrog_steps", "jitter", "initial_step_size"}
-)
-
 
 @dataclass(frozen=True)
 class StreamPlan:
@@ -52,6 +46,8 @@ class StreamPlan:
     the evaluation set that becomes available together with batch i. With
     eval_scope "union" step i evaluates on the union of test sets 0..i,
     with "current" on test set i alone.
+
+    Its settings come checked from the config; it checks only its data.
     """
 
     batches: tuple[tuple[str, Dataset], ...]
@@ -76,23 +72,6 @@ class StreamPlan:
         widths = {ds.f for _, ds in self.batches} | {ds.f for ds in self.test_sets}
         if len(widths) != 1:
             raise DataError("all batches and test sets must share feature width")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown stream mode {self.mode!r}")
-        if self.eval_scope not in EVAL_SCOPES:
-            raise ConfigError(f"unknown eval scope {self.eval_scope!r}")
-        if self.coreset_budget < 1:
-            raise ConfigError("coreset budget must be at least 1")
-        if self.embedding_dim < 1:
-            raise ConfigError("embedding dimension must be at least 1")
-        if self.predict_draws < 1:
-            raise ConfigError("predict_draws must be at least 1")
-        unknown = set(self.hmc) - HMC_KEYS
-        if unknown:
-            raise ConfigError(f"unknown hmc settings: {sorted(unknown)}")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.batches)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through main(argv) in-process."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -74,6 +75,20 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config("sim99")
 
+    def test_to_dict_reproduces_the_packaged_configs(self):
+        """config.json, written from to_dict, keeps the packaged layout."""
+        def packaged(name):
+            path = resources.files("flowcoreset") / "configs" / f"{name}.json"
+            return json.loads(path.read_text())
+
+        def written(name):
+            return json.loads(json.dumps(resolve_config(name).to_dict()))
+
+        assert written("sim1") == packaged("sim1")
+        sim2 = packaged("sim2")
+        sim2["stream"].update(batch_paths=[], test_paths=[])
+        assert written("sim2") == sim2
+
     def test_file_path_wins_over_packaged_names(self, tmp_path):
         path = tmp_path / "sim1"
         spec = dict(TINY)
@@ -99,6 +114,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run")])
         assert code == 1
         assert "config error:" in caplog.text
+
+    def test_mistyped_sampler_setting_exits_before_any_work(self, tmp_path,
+                                                            caplog):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, "hmc": {"thin": "x"}}))
+        out = tmp_path / "run"
+        code = main(["offline", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert "config error:" in caplog.text
+        assert not (out / "datasets").exists()
 
     def test_bad_budget_override_exits_one(self, tmp_path, capsys):
         code = main(["offline", "--config", "sim1", "--budgets", "a,b",
@@ -170,6 +195,18 @@ class TestTrainEvalCommands:
         assert main(["eval", "--posterior", str(stem),
                      "--data", str(test_csv)]) == 0
         assert last_json(capsys)["accuracy"] >= 0.8
+
+    def test_unset_sampler_flags_keep_the_sampler_defaults(self, workspace,
+                                                           tmp_path, capsys):
+        _, _, train_csv, _ = workspace
+        stem = tmp_path / "defaults"
+        code = main(["train", "--data", str(train_csv), "--out", str(stem),
+                     "--total-samples", "120"])
+        assert code == 0
+        capsys.readouterr()
+        meta = json.loads(stem.with_suffix(".json").read_text())
+        assert meta["leapfrog_steps"] == 20
+        assert meta["thinning"] == 2
 
     def test_numerical_failure_exits_three_with_diagnostics(self, workspace,
                                                             tmp_path, capsys):

@@ -101,16 +101,30 @@ class TestConfig:
                                 "test_pos": 1, "test_neg": 1})
         with pytest.raises(ConfigError):
             tiny_config(stream={"modes": ["pool_full"], "n_batches": 0})
+        with pytest.raises(ConfigError):
+            tiny_config(stream={"modes": ["pool_full"], "n_batches": 2,
+                                "batch_pos": 1, "batch_neg": 1,
+                                "test_pos": 1, "test_neg": 1,
+                                "eval_scope": "latest"})
 
     @pytest.mark.parametrize("override", [
         {"source": "synthetic"},
         {"embedding_dim": "many"},
         {"hmc": [1]},
         {"stream": "yes"},
+        {"persist_posteriors": "false"},
+        {"hmc": {"thin": "x"}},
+        {"hmc": {"total_samples": 1200.5}},
+        {"svm": {"epoch": 3}},
+        {"random_size": 0},
     ])
     def test_malformed_values_are_config_errors(self, override):
         with pytest.raises(ConfigError):
             tiny_config(**override)
+
+    def test_null_initial_step_size_loads(self):
+        config = tiny_config(hmc={"initial_step_size": None})
+        assert config.hmc == {"initial_step_size": None}
 
     def test_random_size_defaults_to_smallest_budget(self):
         config = tiny_config(random_size=None)

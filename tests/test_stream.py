@@ -86,17 +86,6 @@ class TestPlanValidation:
             StreamPlan(batches=(batches[0], ("t1", narrow)), test_sets=tests,
                        mode=MODE_POOL)
 
-    def test_rejects_unknown_mode_scope_and_hmc_keys(self):
-        batches, tests = make_arrivals(1)
-        with pytest.raises(ConfigError):
-            StreamPlan(batches=batches, test_sets=tests, mode="compress")
-        with pytest.raises(ConfigError):
-            StreamPlan(batches=batches, test_sets=tests, mode=MODE_POOL,
-                       eval_scope="latest")
-        with pytest.raises(ConfigError):
-            StreamPlan(batches=batches, test_sets=tests, mode=MODE_POOL,
-                       hmc={"step_count": 3})
-
 
 class TestBookkeeping:
     def test_pool_stored_samples_are_cumulative_batch_sizes(self):
