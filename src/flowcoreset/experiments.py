@@ -73,6 +73,14 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
+def _require_count(value, name: str, least: int = 1):
+    """A whole-number setting of at least `least`: floats, strings and bools
+    are refused, never truncated or parsed."""
+    _require(isinstance(value, Integral) and not isinstance(value, bool)
+             and value >= least,
+             f"{name} must be a whole number >= {least}, got {value!r}")
+
+
 # Sampler settings a config may forward to hmc_sample, each with the type
 # it takes; only initial_step_size may be null.
 HMC_KEYS = {"total_samples": Integral, "burn_frac": Real, "thin": Integral,
@@ -93,10 +101,9 @@ class SyntheticSpec:
     separation: float
 
     def __post_init__(self):
-        _require(self.n_datasets >= 1, "n_datasets must be at least 1")
-        for name in ("train_pos", "train_neg", "test_pos", "test_neg",
-                     "features"):
-            _require(getattr(self, name) >= 1, f"{name} must be positive")
+        for name in ("n_datasets", "train_pos", "train_neg", "test_pos",
+                     "test_neg", "features"):
+            _require_count(getattr(self, name), name)
         _require(self.separation >= 0.0, "separation must be nonnegative")
 
 
@@ -116,7 +123,7 @@ class CsvSpec:
     def __post_init__(self):
         _require(len(self.paths) >= 1, "csv source needs at least one path")
         for name in ("train_pos", "train_neg", "test_pos", "test_neg"):
-            _require(getattr(self, name) >= 1, f"{name} must be positive")
+            _require_count(getattr(self, name), name)
 
     def schema(self) -> CsvSchema:
         columns = list(self.feature_columns) if self.feature_columns else None
@@ -154,9 +161,9 @@ class StreamSpec:
             _require(len(self.batch_paths) == len(self.test_paths),
                      "need one test path per batch path")
         else:
-            _require(self.n_batches >= 1, "n_batches must be at least 1")
-            for name in ("batch_pos", "batch_neg", "test_pos", "test_neg"):
-                _require(getattr(self, name) >= 1, f"{name} must be positive")
+            for name in ("n_batches", "batch_pos", "batch_neg", "test_pos",
+                         "test_neg"):
+                _require_count(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -176,13 +183,14 @@ class ExperimentConfig:
     stream: StreamSpec | None = None
 
     def __post_init__(self):
-        _require(self.embedding_dim >= 1, "embedding_dim must be at least 1")
+        _require_count(self.embedding_dim, "embedding_dim")
         _require(len(self.budgets) >= 1, "budgets must be nonempty")
-        _require(all(m >= 1 for m in self.budgets), "budgets must be positive")
+        for budget in self.budgets:
+            _require_count(budget, "each budget")
         _require(list(self.budgets) == sorted(set(self.budgets)),
                  "budgets must be strictly ascending")
         if self.random_size is not None:
-            _require(self.random_size >= 1, "random_size must be positive")
+            _require_count(self.random_size, "random_size")
         _require(self.weighting in (WEIGHTING_LAPLACE, WEIGHTING_PRIOR),
                  f"unknown weighting {self.weighting!r}")
         for key, value in self.hmc.items():
@@ -191,11 +199,13 @@ class ExperimentConfig:
             _require(isinstance(value, kind) and not isinstance(value, bool),
                      f"hmc {key} must be a "
                      f"{'whole ' if kind is Integral else ''}number, got {value!r}")
-        _require(self.predict_draws >= 1, "predict_draws must be at least 1")
-        _require(self.svm_epochs >= 1, "svm_epochs must be at least 1")
-        _require(self.svm_reg > 0.0, "svm_reg must be positive")
-        _require(self.repetitions >= 1, "repetitions must be at least 1")
-        _require(self.rng_seed >= 0, "rng_seed must be nonnegative")
+        _require_count(self.predict_draws, "predict_draws")
+        _require_count(self.svm_epochs, "svm epochs")
+        _require(isinstance(self.svm_reg, Real)
+                 and not isinstance(self.svm_reg, bool) and self.svm_reg > 0.0,
+                 f"svm reg must be a positive number, got {self.svm_reg!r}")
+        _require_count(self.repetitions, "repetitions")
+        _require_count(self.rng_seed, "rng_seed", least=0)
         _require(isinstance(self.persist_posteriors, bool),
                  "persist_posteriors must be true or false")
 
@@ -257,33 +267,26 @@ class ExperimentConfig:
             stream_raw["test_paths"] = tuple(stream_raw.get("test_paths", ()))
             stream = StreamSpec(**stream_raw)
 
-        settings = {name: convert(raw[name])
-                    for name, convert in _FIELD_KEYS.items() if name in raw}
+        settings = {name: raw[name] for name in _FIELD_KEYS if name in raw}
+        if "budgets" in settings:
+            settings["budgets"] = tuple(settings["budgets"])
+        settings["hmc"] = dict(raw.get("hmc") or {})
         svm = raw.get("svm") or {}
         unknown = set(svm) - set(_SVM_KEYS)
         _require(not unknown, f"unknown svm settings: {sorted(unknown)}")
-        settings.update({f"svm_{key}": _SVM_KEYS[key](value)
-                         for key, value in svm.items()})
+        settings.update({f"svm_{key}": value for key, value in svm.items()})
         return cls(source=source, stream=stream, **settings)
 
 
-# Top-level config keys that set one field each, with the conversion of
-# their JSON value. Only the keys a config holds are passed, so each default
-# lives in the dataclass alone. "parallelism" is retired; older configs and
-# run directories still carry it, so it is accepted and ignored.
-_FIELD_KEYS = {
-    "embedding_dim": int,
-    "budgets": lambda budgets: tuple(int(m) for m in budgets),
-    "random_size": lambda size: None if size is None else int(size),
-    "weighting": str,
-    "hmc": lambda hmc: dict(hmc or {}),
-    "predict_draws": int,
-    "repetitions": int,
-    "rng_seed": int,
-    "persist_posteriors": lambda flag: flag,
-}
+# Top-level config keys that set one field each. Values pass as JSON gives
+# them (budgets as a tuple, a null hmc as no settings) and the dataclass
+# checks their types, so each default and each check lives there alone.
+# "parallelism" is retired; older configs and run directories still carry
+# it, so it is accepted and ignored.
+_FIELD_KEYS = ("embedding_dim", "budgets", "random_size", "weighting", "hmc",
+               "predict_draws", "repetitions", "rng_seed", "persist_posteriors")
 _SECTION_KEYS = ("source", "svm", "stream", "parallelism")
-_SVM_KEYS = {"epochs": int, "reg": float}
+_SVM_KEYS = ("epochs", "reg")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -42,14 +42,39 @@ _DA_KAPPA = 0.75
 _DIVERGENCE_WINDOW = 100
 
 
+def _exp_neg_abs(m: np.ndarray) -> np.ndarray:
+    """e = exp(-|m|) in a fresh buffer: the one exp both logistic terms need.
+
+    e lies in [0, 1], so nothing overflows for any margin.
+    """
+    e = np.abs(m, out=np.empty_like(m))
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def _log_sigmoid(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log sigmoid(m) from e = exp(-|m|), written over e."""
+    np.log1p(e, out=e)
+    return np.subtract(np.minimum(m, 0.0), e, out=e)
+
+
 def log_sigmoid(margins: np.ndarray) -> np.ndarray:
-    """log(sigmoid(m)), stable for margins far into either tail."""
-    return -np.logaddexp(0.0, -np.asarray(margins, dtype=np.float64))
+    """log sigmoid(m) = min(m, 0) - log1p(exp(-|m|)), exact in both tails.
+
+    Works in place: it holds one temporary the size of the margins besides
+    its result, so it suits the n x d embedding matrix.
+    """
+    m = np.asarray(margins, dtype=np.float64)
+    return _log_sigmoid(m, _exp_neg_abs(m))
 
 
 def sigmoid(margins: np.ndarray) -> np.ndarray:
-    """sigmoid(m) computed through its log for stability."""
-    return np.exp(log_sigmoid(margins))
+    """sigmoid(m) = where(m >= 0, 1, e) / (1 + e) with e = exp(-|m|)."""
+    m = np.asarray(margins, dtype=np.float64)
+    e = _exp_neg_abs(m)
+    numerator = np.where(m >= 0.0, 1.0, e)
+    e += 1.0
+    return np.divide(numerator, e, out=numerator)
 
 
 @dataclass(frozen=True)
@@ -103,23 +128,31 @@ class WeightedBLRModel:
         return WeightedBLRModel(data.x, data.y, weights)
 
 
-def log_posterior(model: WeightedBLRModel, theta: np.ndarray):
+def log_posterior(model: WeightedBLRModel, theta: np.ndarray,
+                  value: bool = True):
     """Unnormalized log posterior and its gradient at theta.
 
+    Both come from one exp(-|m|) pass over the margins. With value=False
+    only the gradient is computed and returned, as the interior leapfrog
+    steps need; it equals the gradient of the full call exactly.
+
     Returns:
-        (value, gradient) where gradient has shape (f,). A non-finite theta
-        yields value -inf rather than raising, so the sampler can treat it
-        as a divergence.
+        (value, gradient) where gradient has shape (f,), or the gradient
+        alone with value=False. A non-finite theta yields value -inf rather
+        than raising, so the sampler can treat it as a divergence.
     """
     theta = np.asarray(theta, dtype=np.float64)
     # Overflowing trajectories surface as -inf values, not warnings; the
     # sampler treats them as divergences.
     with np.errstate(over="ignore", invalid="ignore"):
         margins = model._yx @ theta
-        loglik = float(model.weights @ log_sigmoid(margins))
+        e = _exp_neg_abs(margins)
+        # d/dm of log sigmoid(m) is sigmoid(-m) = where(m > 0, e, 1) / (1 + e).
+        grad = model._wyx_t @ (np.where(margins > 0.0, e, 1.0) / (1.0 + e)) - theta
+        if not value:
+            return grad
+        loglik = float(model.weights @ _log_sigmoid(margins, e))
         value = -0.5 * float(theta @ theta) + loglik
-        # d/dm of log sigmoid(m) is sigmoid(-m).
-        grad = model._wyx_t @ sigmoid(-margins) - theta
     if not math.isfinite(value):
         value = -math.inf
     return value, grad
@@ -201,15 +234,15 @@ _SETTINGS = tuple(f.name for f in fields(PosteriorSamples) if f.name != "draws")
 
 
 def _leapfrog(model, theta, grad, p, eps, n_steps):
+    """n_steps >= 1 leapfrog steps; only the last one evaluates the value."""
     with np.errstate(over="ignore", invalid="ignore"):
         theta = theta.copy()
         p = p + 0.5 * eps * grad
-        logp = -math.inf
-        for step in range(n_steps):
+        for _ in range(n_steps - 1):
             theta += eps * p
-            logp, grad = log_posterior(model, theta)
-            if step < n_steps - 1:
-                p += eps * grad
+            p += eps * log_posterior(model, theta, value=False)
+        theta += eps * p
+        logp, grad = log_posterior(model, theta)
         p += 0.5 * eps * grad
     return theta, p, logp, grad
 
@@ -416,19 +449,33 @@ def svm_train(
     rng = np.random.default_rng(rng_seed)
     theta = np.zeros(data.f)
     radius = 1.0 / math.sqrt(reg)
+    # ||theta||^2 is carried as a scalar, updated from the shrink factor,
+    # the margin's dot product and the row's squared norm. Near the ball's
+    # surface it is recomputed, so the projection scales by the exact norm.
+    theta_sq = 0.0
+    near_surface = radius * radius * (1.0 - 1e-9)
+    rows = list(data.x)
+    labels = data.y.tolist()
+    row_sq = np.einsum("ij,ij->i", data.x, data.x).tolist()
     t = 0
     for _ in range(epochs):
-        order = rng.integers(0, data.n, size=data.n)
-        for i in order:
+        for i in rng.integers(0, data.n, size=data.n).tolist():
             t += 1
             eta = 1.0 / (reg * t)
-            margin = data.y[i] * float(theta @ data.x[i])
-            theta *= 1.0 - eta * reg
-            if margin < 1.0:
-                theta += eta * data.y[i] * data.x[i]
-            norm = float(np.linalg.norm(theta))
-            if norm > radius:
-                theta *= radius / norm
+            dot = float(theta @ rows[i])
+            shrink = 1.0 - eta * reg
+            theta *= shrink
+            theta_sq *= shrink * shrink
+            if labels[i] * dot < 1.0:
+                step = eta * labels[i]
+                theta += step * rows[i]
+                theta_sq += step * (2.0 * shrink * dot + step * row_sq[i])
+            if theta_sq > near_surface:
+                theta_sq = float(theta @ theta)
+                norm = math.sqrt(theta_sq)
+                if norm > radius:
+                    theta *= radius / norm
+                    theta_sq = radius * radius
     return theta
 
 

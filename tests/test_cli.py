@@ -125,6 +125,19 @@ class TestExitCodes:
         assert "config error:" in caplog.text
         assert not (out / "datasets").exists()
 
+    def test_fractional_stream_count_exits_one_without_a_run(self, tmp_path,
+                                                            capsys, caplog):
+        stream = {"modes": ["pool_full"], "n_batches": 2.5, "batch_pos": 15,
+                  "batch_neg": 75, "test_pos": 25, "test_neg": 25}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, "stream": stream}))
+        out = tmp_path / "run"
+        code = main(["stream", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert "config error:" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_budget_override_exits_one(self, tmp_path, capsys):
         code = main(["offline", "--config", "sim1", "--budgets", "a,b",
                      "--out", str(tmp_path / "run")])

@@ -117,6 +117,17 @@ class TestConfig:
         {"hmc": {"total_samples": 1200.5}},
         {"svm": {"epoch": 3}},
         {"random_size": 0},
+        {"embedding_dim": 5.7},
+        {"budgets": [15.9, 30]},
+        {"repetitions": "2"},
+        {"rng_seed": True},
+        {"predict_draws": 40.0},
+        {"svm": {"epochs": "3"}},
+        {"svm": {"reg": "0.001"}},
+        {"source": {**TINY["source"], "train_pos": 15.5}},
+        {"stream": {"modes": ["pool_full"], "n_batches": 2.5,
+                    "batch_pos": 1, "batch_neg": 1,
+                    "test_pos": 1, "test_neg": 1}},
     ])
     def test_malformed_values_are_config_errors(self, override):
         with pytest.raises(ConfigError):

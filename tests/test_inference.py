@@ -1,6 +1,7 @@
 """Tests for the weighted logistic posterior, HMC sampler, and SVM baseline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from flowcoreset.inference import (
     log_sigmoid,
     predict_batch,
     save_posterior,
+    sigmoid,
     svm_accuracy,
     svm_predict,
     svm_train,
@@ -98,13 +100,45 @@ class TestLogPosterior:
         assert v1 == v2
         np.testing.assert_array_equal(g1, g2)
 
-    def test_log_sigmoid_is_stable_in_both_tails(self):
+    @pytest.mark.parametrize("kernel", [log_sigmoid, sigmoid],
+                             ids=lambda kernel: kernel.__name__)
+    def test_kernel_is_exact_in_both_tails(self, kernel):
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
-        for m in [-700.0, -100.0, -5.0, 0.0, 5.0, 100.0, 700.0]:
-            expected = float(-mpmath.log(1 + mpmath.exp(-mpmath.mpf(m))))
-            got = float(log_sigmoid(np.array([m]))[0])
-            assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
+        exact = {log_sigmoid: lambda m: -mpmath.log1p(mpmath.exp(-m)),
+                 sigmoid: lambda m: 1 / (1 + mpmath.exp(-m))}[kernel]
+        margins = [-700.0, -100.0, -5.0, 0.0, 5.0, 100.0, 700.0,
+                   -math.inf, math.inf]
+        got = kernel(np.array(margins))
+        for m, value in zip(margins, got):
+            expected = float(exact(mpmath.mpf(m)))
+            if math.isinf(expected):
+                assert value == expected
+            else:
+                # Relative error, so sigmoid's tiny far-tail values count.
+                assert abs(value - expected) <= 1e-12 * abs(expected)
+        assert math.isnan(kernel(np.array([math.nan]))[0])
+
+    def test_log_sigmoid_holds_one_temporary(self):
+        """On an embedding-sized matrix the peak allocation is the result
+        plus one temporary, no more than -logaddexp(0, -m) needs."""
+        margins = np.random.default_rng(3).normal(scale=5.0, size=(2000, 500))
+        tracemalloc.start()
+        try:
+            log_sigmoid(margins)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * margins.nbytes
+
+    def test_gradient_only_call_matches_full_call(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            model = random_model(rng)
+            theta = rng.normal(scale=3.0, size=model.f)
+            _, grad = log_posterior(model, theta)
+            np.testing.assert_array_equal(
+                log_posterior(model, theta, value=False), grad)
 
     def test_non_finite_theta_reports_minus_infinity(self):
         model = WeightedBLRModel(np.array([[1.0]]), np.array([1.0]))
