@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .inference import WeightedBLRModel, fit_map, laplace_scales, log_sigmoid
+from .inference import WeightedBLRModel, fit_map, log_sigmoid
 
 logger = logging.getLogger(__name__)
 
@@ -95,10 +95,10 @@ def build_projection_basis(
 ) -> ProjectionBasis:
     """Draw d parameter vectors from the weighting distribution.
 
-    With weighting="laplace" the draws come from N(theta_map, diag scales)
-    where the mode and curvature are fitted on the pilot dataset by a
-    deterministic optimizer. With weighting="prior" they come from the
-    standard normal prior and the pilot only fixes the dimension.
+    With weighting="laplace" the draws come from N(theta_map, diag(1 /
+    curvature)): fit_map's damped Newton fit on the pilot dataset gives the
+    mode and the Hessian diagonal there. With weighting="prior" they come
+    from the standard normal prior and the pilot only fixes the dimension.
 
     Args:
         pilot: dataset the weighting distribution is tuned on.
@@ -113,10 +113,8 @@ def build_projection_basis(
     if weighting == WEIGHTING_PRIOR:
         draws = noise
     elif weighting == WEIGHTING_LAPLACE:
-        pilot_model = WeightedBLRModel.from_dataset(pilot)
-        theta_map = fit_map(pilot_model)
-        scales = laplace_scales(pilot_model, theta_map)
-        draws = theta_map + noise * scales
+        theta_map, curvature = fit_map(WeightedBLRModel.from_dataset(pilot))
+        draws = theta_map + noise / np.sqrt(curvature)
     else:
         raise ConfigError(f"unknown weighting {weighting!r}")
     logger.info(

@@ -1,10 +1,15 @@
 """End-to-end command-line tests driven through main(argv) in-process."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import flowcoreset
 from flowcoreset.cli import main, resolve_config
 from flowcoreset.coreset import load_coreset
 from flowcoreset.errors import ConfigError
@@ -292,3 +297,17 @@ class TestExperimentCommands:
         printed = capsys.readouterr().out
         assert str(out / "report.json") in printed
         assert (out / "report.json").read_bytes() == original
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        """Importing scipy costs about half a second of set-up and loads a
+        second BLAS; nothing the program runs needs it."""
+        src = Path(flowcoreset.__file__).resolve().parents[1]
+        code = ("import sys, flowcoreset.cli; print(sorted(m for m in sys.modules"
+                " if m == 'scipy' or m.startswith('scipy.')))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

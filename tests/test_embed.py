@@ -12,7 +12,7 @@ from flowcoreset.embed import (
     embed_log_likelihoods,
 )
 from flowcoreset.errors import ConfigError, DataError
-from flowcoreset.inference import WeightedBLRModel, fit_map, laplace_scales
+from flowcoreset.inference import WeightedBLRModel, fit_map
 
 
 def manual_basis(theta_draws):
@@ -46,9 +46,8 @@ class TestBuildProjectionBasis:
     def test_laplace_weighting_centres_on_map(self):
         pilot = generate_synthetic(200, 100, f=3, separation=3.0, rng_seed=6)
         basis = build_projection_basis(pilot, d=4000, rng_seed=7)
-        model = WeightedBLRModel.from_dataset(pilot)
-        theta_map = fit_map(model)
-        scales = laplace_scales(model, theta_map)
+        theta_map, curvature = fit_map(WeightedBLRModel.from_dataset(pilot))
+        scales = 1.0 / np.sqrt(curvature)
         np.testing.assert_allclose(
             basis.theta_draws.mean(axis=0), theta_map, atol=4.0 * scales.max()
         )

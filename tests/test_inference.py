@@ -2,11 +2,18 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from flowcoreset.data import Dataset, generate_synthetic, stratified_split
+from flowcoreset.data import (
+    Dataset,
+    apply_standardization,
+    fit_standardization,
+    generate_synthetic,
+    stratified_split,
+)
 from flowcoreset.errors import DataError, NumericalError
 from flowcoreset.inference import (
     PosteriorSamples,
@@ -15,7 +22,6 @@ from flowcoreset.inference import (
     classify,
     fit_map,
     hmc_sample,
-    laplace_scales,
     load_posterior,
     log_posterior,
     log_sigmoid,
@@ -146,29 +152,88 @@ class TestLogPosterior:
         assert value == -math.inf
 
 
+def sim1_model(seed):
+    """The sim1 train split (80/800 rows, 20 features), standardized."""
+    data = generate_synthetic(80, 800, f=20, separation=4.0, rng_seed=seed)
+    return WeightedBLRModel.from_dataset(
+        apply_standardization(data, fit_standardization(data)))
+
+
+def map_or_numerical_error(model):
+    """fit_map's mode, checked as the fit checks it, or None on NumericalError.
+
+    Any warning fails the call: the fit must not print one.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            theta, curvature = fit_map(model)
+        except NumericalError as err:
+            assert {"iterations", "grad_max", "objective"} <= set(err.diagnostics)
+            return None
+    assert np.all(np.isfinite(theta)) and np.all(np.isfinite(curvature))
+    _, grad = log_posterior(model, theta)
+    assert np.max(np.abs(grad)) <= 1e-4 * max(1, model.n)
+    return theta
+
+
 class TestMapFit:
     def test_gradient_vanishes_at_mode(self):
         data = generate_synthetic(60, 40, f=4, separation=2.0, rng_seed=3)
         model = WeightedBLRModel.from_dataset(data)
-        theta = fit_map(model)
+        theta, _ = fit_map(model)
         _, grad = log_posterior(model, theta)
         assert np.max(np.abs(grad)) < 1e-3
 
     def test_prior_only_mode_is_origin(self):
         model = WeightedBLRModel(np.empty((0, 2)), np.empty(0))
-        np.testing.assert_allclose(fit_map(model), 0.0, atol=1e-12)
+        theta, curvature = fit_map(model)
+        np.testing.assert_allclose(theta, 0.0, atol=1e-12)
+        np.testing.assert_array_equal(curvature, 1.0)
 
-    def test_laplace_scales_match_direct_curvature(self):
+    def test_curvature_matches_direct_sum(self):
         rng = np.random.default_rng(11)
         model = random_model(rng, n=12, f=3)
-        theta = rng.normal(size=3)
-        scales = laplace_scales(model, theta)
+        theta, curvature = fit_map(model)
         for k in range(3):
             h = 1.0
             for i in range(12):
                 s = 1.0 / (1.0 + math.exp(-model.y[i] * float(theta @ model.x[i])))
                 h += model.weights[i] * s * (1.0 - s) * model.x[i, k] ** 2
-            np.testing.assert_allclose(scales[k], 1.0 / math.sqrt(h), rtol=1e-12)
+            np.testing.assert_allclose(curvature[k], h, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_lbfgs_on_sim1_data(self, seed):
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        model = sim1_model(seed)
+        theta, _ = fit_map(model)
+        _, grad = log_posterior(model, theta)
+        assert np.max(np.abs(grad)) < 1e-8 * model.n
+
+        def objective(t):
+            value, g = log_posterior(model, t)
+            return -value, -g
+
+        oracle = minimize(objective, np.zeros(model.f), jac=True, method="L-BFGS-B",
+                          options={"maxiter": 10000, "gtol": 1e-10, "ftol": 0.0}).x
+        assert np.linalg.norm(theta - oracle) <= 1e-5 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("weight", [1e12, 1e20, 1e29])
+    @pytest.mark.parametrize("row", [0, 7])
+    def test_extreme_weight_gives_a_mode(self, weight, row):
+        rng = np.random.default_rng(5)
+        weights = np.ones(50)
+        weights[row] = weight
+        model = WeightedBLRModel(rng.normal(size=(50, 3)),
+                                 rng.choice([-1.0, 1.0], size=50), weights)
+        assert map_or_numerical_error(model) is not None
+
+    @pytest.mark.parametrize("magnitude", [1e150, 1e160, 1e175, 1e200])
+    def test_huge_features_end_in_a_mode_or_numerical_error(self, magnitude):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(50, 3))
+        x[:, 0] *= magnitude
+        map_or_numerical_error(WeightedBLRModel(x, rng.choice([-1.0, 1.0], size=50)))
 
 
 def grid_posterior_1d(model, lo=-10.0, hi=10.0, points=4001):
