@@ -27,7 +27,6 @@ from .coreset import (
     save_coreset,
 )
 from .data import (
-    Dataset,
     StandardizationParams,
     apply_standardization,
     fit_standardization,
@@ -142,17 +141,16 @@ def cmd_coreset(args) -> int:
 
 def cmd_train(args) -> int:
     data, _ = load_dataset(args.data)
+    # `coreset` builds in the data file's own frame, so its rows are read
+    # from the data standardized the same way.
+    params = fit_standardization(data)
+    std = apply_standardization(data, params)
     if args.coreset:
         built = load_coreset(args.coreset)
-        sources = {batch_id: data for batch_id in set(built.batch_ids)}
-        x, y, weights = materialize(built, sources)
-        rows = Dataset(x, y)
-        params = fit_standardization(rows)
-        std = apply_standardization(rows, params)
-        model = WeightedBLRModel(std.x, std.y, weights)
+        model = WeightedBLRModel(
+            *materialize(built, dict.fromkeys(built.batch_ids, std)))
     else:
-        params = fit_standardization(data)
-        model = WeightedBLRModel.from_dataset(apply_standardization(data, params))
+        model = WeightedBLRModel.from_dataset(std)
     # The sampler flags' argparse names are the HMC_KEYS; a flag left unset
     # leaves hmc_sample's default.
     settings = {key: getattr(args, key) for key in HMC_KEYS
@@ -165,7 +163,6 @@ def cmd_train(args) -> int:
         "n_draws": posterior.n_draws,
         "acceptance_rate": posterior.acceptance_rate,
         "step_size": posterior.step_size,
-        "weight_rescale": posterior.weight_rescale,
         "path": str(args.out),
     }))
     return 0

@@ -28,6 +28,12 @@ from .errors import DataError, NumericalError
 # Degenerate denominators and residuals below this end construction early.
 _EPS = 1e-14
 
+# Rows whose embedded norm is below this fraction of the median norm are not
+# candidates. A picked row gets a weight of about 1 / norm, so a row the
+# basis draws all classify with certainty would otherwise get weights up to
+# 1e29; the relative error still counts what such rows contribute.
+_NORM_FLOOR = 0.01
+
 
 @dataclass(frozen=True)
 class CoresetDiagnostics:
@@ -128,9 +134,10 @@ def geodesic_step_size(zeta0: float, zeta1: float, zeta2: float) -> float:
 def _embedding_geometry(embedding: LikelihoodEmbedding):
     """Shared setup: candidate directions and the normalized target."""
     sigma = embedding.norms
-    candidates = np.flatnonzero(sigma > 0.0)
-    if candidates.size == 0:
+    if not np.any(sigma > 0.0):
         raise DataError("every embedded row has zero norm; nothing to select")
+    floor = _NORM_FLOOR * float(np.median(sigma))
+    candidates = np.flatnonzero((sigma > 0.0) & (sigma >= floor))
     total = embedding.total_vector
     total_norm = float(np.linalg.norm(total))
     if total_norm < _EPS:

@@ -311,8 +311,7 @@ OFFLINE_COLUMNS = (
     ("minority_entries", "int"), ("residual_norm", "float"),
     ("relative_error", "float"), ("storage_bytes", "int"),
     ("full_bytes", "int"), ("acceptance_rate", "float"),
-    ("step_size", "float"), ("n_divergent", "int"),
-    ("weight_rescale", "float"), ("error", "str"),
+    ("step_size", "float"), ("n_divergent", "int"), ("error", "str"),
 )
 
 STREAM_COLUMNS = (
@@ -354,17 +353,16 @@ def write_rows(path: Path, rows: list[dict], columns) -> None:
 
 
 def read_rows(path: Path, columns) -> list[dict]:
-    expected = [name for name, _ in columns]
+    """Rows of a results CSV, by header name; extra columns are ignored, so
+    files written by older versions still read."""
     with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != expected:
-            raise DataError(f"{path}: unexpected results header {header}")
-        return [
-            {name: _parse_cell(cell, kind)
-             for (name, kind), cell in zip(columns, row)}
-            for row in reader
-        ]
+        reader = csv.DictReader(handle, restval="")
+        missing = [name for name, _ in columns
+                   if name not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}: results header lacks {missing}")
+        return [{name: _parse_cell(row[name], kind) for name, kind in columns}
+                for row in reader]
 
 
 def _environment() -> dict:
@@ -395,7 +393,7 @@ class _PreparedDataset:
     test_std: Dataset
     minority_label: float
     train_bytes: int
-    coresets: dict  # condition name -> (Coreset, storage_bytes)
+    coresets: dict  # condition name -> (Coreset, storage_bytes, reduce_seconds)
 
 
 def _dataset_pair(config: ExperimentConfig,
@@ -457,8 +455,17 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
     pos = int(np.sum(train.y == 1.0))
     minority_label = 1.0 if pos <= train.n - pos else -1.0
 
+    # As in the stream, a GIGA coreset's reduction time counts the
+    # standardization, basis and embedding every budget shares, in full,
+    # plus its own construction; a random one's is its construction alone.
+    started = time.perf_counter()
     params = fit_standardization(train)
     train_std = apply_standardization(train, params)
+    basis = build_projection_basis(
+        train_std, config.embedding_dim, derive_seed(root, "basis", index),
+        weighting=config.weighting)
+    embedding = embed_log_likelihoods(train_std, basis)
+    frame_seconds = time.perf_counter() - started
     test_std = apply_standardization(test, params)
 
     train_text = dataset_csv_text(train)
@@ -466,15 +473,10 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
     if out is not None:
         _save_splits(config, index, train, test, dropped, train_text, out)
 
-    basis = build_projection_basis(
-        train_std, config.embedding_dim, derive_seed(root, "basis", index),
-        weighting=config.weighting)
-    embedding = embed_log_likelihoods(train_std, basis)
-
     batch_id = f"ds{index}"
-    coresets: dict[str, tuple[Coreset, int]] = {}
+    coresets: dict[str, tuple[Coreset, int, float]] = {}
 
-    def store(name: str, built: Coreset) -> None:
+    def store(name: str, built: Coreset, shared_seconds: float = 0.0) -> None:
         # What retraining from the condensed form needs: entry list with
         # weights plus the referenced raw rows. Construction diagnostics
         # carry wall-clock noise and are excluded from the byte count.
@@ -492,10 +494,13 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
                          text=rows_text,
                          provenance={"role": "coreset_rows",
                                      "dataset": index, "name": name})
-        coresets[name] = (built, storage)
+        coresets[name] = (
+            built, storage,
+            shared_seconds + built.construction.wall_clock_seconds)
 
     for m in config.budgets:
-        store(f"giga_m{m}", giga_construct(embedding, m, batch_id=batch_id))
+        store(f"giga_m{m}", giga_construct(embedding, m, batch_id=batch_id),
+              frame_seconds)
     size = min(config.effective_random_size, train.n)
     store("random",
           random_construct(train.n, size, derive_seed(root, "randcs", index),
@@ -529,11 +534,11 @@ def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
         else:
             # blr_random -> "random", blr_coreset_m<m> -> "m<m>" (giga_m<m>).
             tag = condition.removeprefix("blr_").removeprefix("coreset_")
-            built, storage = prepared.coresets[
+            built, storage, seconds = prepared.coresets[
                 tag if tag == "random" else f"giga_{tag}"]
             model = WeightedBLRModel(
                 *materialize(built, {f"ds{index}": prepared.train_std}))
-            row.update(_coreset_fields(prepared, built, storage))
+            row.update(_coreset_fields(prepared, built, storage, seconds))
 
         started = time.perf_counter()
         posterior = hmc_sample(
@@ -545,7 +550,6 @@ def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
         row["acceptance_rate"] = posterior.acceptance_rate
         row["step_size"] = posterior.step_size
         row["n_divergent"] = posterior.n_divergent
-        row["weight_rescale"] = posterior.weight_rescale
         if out is not None and config.persist_posteriors:
             posterior_dir = out / "posteriors"
             posterior_dir.mkdir(parents=True, exist_ok=True)
@@ -558,20 +562,18 @@ def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
 
 
 def _coreset_fields(prepared: _PreparedDataset, built: Coreset,
-                    storage: int) -> dict:
+                    storage: int, reduce_seconds: float) -> dict:
     rows = built.row_indices
     minority = int(np.sum(prepared.train.y[rows] == prepared.minority_label))
-    fields = {
+    return {
         "entries": built.size,
         "minority_entries": minority,
         "storage_bytes": storage,
         "full_bytes": prepared.train_bytes,
+        "reduce_seconds": reduce_seconds,
+        "residual_norm": built.construction.residual_norm,
+        "relative_error": built.construction.relative_error,
     }
-    if built.construction is not None:
-        fields["reduce_seconds"] = built.construction.wall_clock_seconds
-        fields["residual_norm"] = built.construction.residual_norm
-        fields["relative_error"] = built.construction.relative_error
-    return fields
 
 
 def offline_conditions(config: ExperimentConfig) -> list[str]:

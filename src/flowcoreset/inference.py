@@ -13,7 +13,6 @@ reference point.
 """
 
 import json
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass, fields
@@ -23,13 +22,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, NumericalError
-
-logger = logging.getLogger(__name__)
-
-# Weights above this trigger a common rescale before sampling; scaling all
-# weights together only sharpens the likelihood term uniformly and keeps
-# exp() in range.
-_WEIGHT_GUARD = 1e6
 
 # MAP fit limits. Far from the mode a Newton step moves a heavily weighted
 # row's margin by about 1, so a weight of 1e29 takes ~70 steps.
@@ -218,7 +210,6 @@ class PosteriorSamples:
     thinning: int
     rng_seed: int
     n_divergent: int = 0
-    weight_rescale: float = 1.0
 
     @property
     def n_draws(self) -> int:
@@ -309,13 +300,6 @@ def hmc_sample(
     if not 0.0 <= jitter < 1.0:
         raise DataError("jitter must lie in [0, 1)")
 
-    rescale = 1.0
-    w_max = float(model.weights.max()) if model.n else 0.0
-    if w_max > _WEIGHT_GUARD:
-        rescale = w_max
-        logger.warning("weights rescaled by %.3g before sampling", rescale)
-        model = WeightedBLRModel(model.x, model.y, model.weights / rescale)
-
     rng = np.random.default_rng(rng_seed)
     theta = np.zeros(model.f)
     logp, grad = log_posterior(model, theta)
@@ -396,7 +380,6 @@ def hmc_sample(
         thinning=thin,
         rng_seed=rng_seed,
         n_divergent=n_divergent,
-        weight_rescale=rescale,
     )
 
 

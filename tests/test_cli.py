@@ -12,6 +12,7 @@ import pytest
 import flowcoreset
 from flowcoreset.cli import main, resolve_config
 from flowcoreset.coreset import load_coreset
+from flowcoreset.data import fit_standardization, load_dataset
 from flowcoreset.errors import ConfigError
 
 TINY = {
@@ -210,6 +211,9 @@ class TestTrainEvalCommands:
                      "--coreset", str(cs), "--out", str(stem), *TRAIN_FLAGS])
         assert code == 0
         capsys.readouterr()
+        # The coreset rows are trained in the frame `coreset` built them in.
+        frame = json.loads(stem.with_suffix(".std.json").read_text())
+        assert frame == fit_standardization(load_dataset(train_csv)[0]).to_dict()
         assert main(["eval", "--posterior", str(stem),
                      "--data", str(test_csv)]) == 0
         assert last_json(capsys)["accuracy"] >= 0.8

@@ -180,14 +180,18 @@ class TestGigaConstruct:
             assert np.unique(coreset.row_indices).size == coreset.size
 
     def test_zero_norm_rows_are_never_selected(self):
-        """A saturated row is not a candidate even with a large budget."""
-        x = np.vstack([np.full((1, 1), 1.0), np.full((5, 1), 1e-3)])
-        data = Dataset(x, np.ones(6))
+        """A saturated row is not a candidate even with a large budget: one of
+        norm 0, and one of norm ~1e-20 that points along the target and would
+        be picked first, with a weight of ~1e20."""
         basis = ProjectionBasis(np.array([[800.0]]), "prior", 0)
-        emb = embed_log_likelihoods(data, basis)
-        assert emb.norms[0] == 0.0
-        coreset = giga_construct(emb, m=6)
-        assert 0 not in coreset.row_indices
+        for x0, norm_below in ((1.0, 1e-300), (0.0575, 1e-19)):
+            x = np.vstack([np.full((1, 1), x0), np.full((5, 1), 1e-3)])
+            emb = embed_log_likelihoods(Dataset(x, np.ones(6)), basis)
+            assert emb.norms[0] < norm_below
+            for construct in (giga_construct, frankwolfe_construct):
+                coreset = construct(emb, m=6)
+                assert 0 not in coreset.row_indices
+                assert np.all(coreset.weights < 10.0)
 
     def test_all_zero_embedding_raises(self):
         data = Dataset(np.full((3, 1), 1.0), np.ones(3))

@@ -1,11 +1,13 @@
 """Experiment grids: configs, artifacts, reports, and regeneration."""
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flowcoreset.coreset import load_coreset
 from flowcoreset.data import load_dataset
 from flowcoreset.errors import ConfigError, DataError
 from flowcoreset.experiments import (
@@ -259,6 +261,20 @@ class TestOffline:
         assert (out / "report.json").read_bytes() == original
         assert sorted(p.name for p in written) == ["report.csv", "report.json"]
 
+    def test_giga_reduce_seconds_count_the_shared_embedding(self, offline_run):
+        """A GIGA row's reduction time adds the standardization, basis and
+        embedding to its construction; a random row's is its construction."""
+        out, _ = offline_run
+        for row in read_rows(out / "results.csv", OFFLINE_COLUMNS):
+            name = row["condition"].removeprefix("blr_").replace("coreset_", "giga_")
+            path = out / "coresets" / f"ds{row['dataset']}_{name}.json"
+            if name == "random":
+                built = load_coreset(path).construction.wall_clock_seconds
+                assert row["reduce_seconds"] == built
+            elif name.startswith("giga_"):
+                built = load_coreset(path).construction.wall_clock_seconds
+                assert row["reduce_seconds"] > built
+
     def test_failed_trials_become_error_rows(self, tmp_path):
         config = tiny_config(
             hmc={"total_samples": 120, "burn_frac": 0.0, "thin": 1,
@@ -323,6 +339,32 @@ class TestRegenerate:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             regenerate_report(tmp_path, fmt="yaml")
+
+    def test_results_with_a_retired_column_still_regenerate(self, offline_run,
+                                                            tmp_path):
+        """Older runs wrote a weight_rescale column; columns are read by
+        name, so their reports rebuild, and a missing column is a data
+        error."""
+        out, _ = offline_run
+        with (out / "results.csv").open(newline="") as handle:
+            header, *rows = csv.reader(handle)
+
+        def run_dir(name, table):
+            run = tmp_path / name
+            run.mkdir()
+            (run / "config.json").write_bytes((out / "config.json").read_bytes())
+            with (run / "results.csv").open("w", newline="") as handle:
+                csv.writer(handle).writerows(table)
+            return run
+
+        older = run_dir("older", [header[:-1] + ["weight_rescale", "error"]]
+                        + [row[:-1] + ["1.0", row[-1]] for row in rows])
+        regenerate_report(older, fmt="json")
+        assert ((older / "report.json").read_bytes()
+                == (out / "report.json").read_bytes())
+        broken = run_dir("broken", [row[1:] for row in [header, *rows]])
+        with pytest.raises(DataError):
+            regenerate_report(broken, fmt="json")
 
     def test_missing_directory_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError):

@@ -1,5 +1,6 @@
-"""Property: on any dataset the Laplace basis and the MAP fit either give
-finite numbers or raise a FlowCoresetError, and print no warning.
+"""Property: on any dataset the Laplace basis, the MAP fit, and the path
+from data through a GIGA coreset to the sampler either give finite numbers
+or raise a FlowCoresetError, and print no warning.
 
 The datasets mix what flow captures hold: heavy-tailed columns spanning
 1e0-1e9 before standardization, constant columns, a single class,
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 from flowcoreset.data import Dataset, apply_standardization, fit_standardization
-from flowcoreset.embed import build_projection_basis
+from flowcoreset.coreset import giga_construct, materialize
+from flowcoreset.embed import build_projection_basis, embed_log_likelihoods
 from flowcoreset.errors import FlowCoresetError
-from flowcoreset.inference import WeightedBLRModel, fit_map
+from flowcoreset.inference import WeightedBLRModel, fit_map, hmc_sample
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -71,3 +73,21 @@ def test_weighted_map_is_finite_or_a_typed_error(data, weights):
             return
     assert np.all(np.isfinite(theta))
     assert np.all(np.isfinite(curvature)) and np.all(curvature >= 1.0)
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(data=standardized_datasets(), seed=st.integers(0, 2**32 - 1),
+                  m=st.integers(1, 20))
+def test_coreset_posterior_is_finite_or_a_typed_error(data, seed, m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            basis = build_projection_basis(data, d=8, rng_seed=seed)
+            coreset = giga_construct(embed_log_likelihoods(data, basis), m)
+            model = WeightedBLRModel(*materialize(coreset, {"batch0": data}))
+            posterior = hmc_sample(model, total_samples=40, leapfrog_steps=5,
+                                   rng_seed=seed)
+        except FlowCoresetError:
+            return
+    assert np.all(np.isfinite(coreset.weights)) and np.all(coreset.weights > 0)
+    assert np.all(np.isfinite(posterior.draws))

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -320,21 +321,49 @@ class TestHmc:
             )
         assert err.value.diagnostics["recent_divergent"] > 50
 
+    def test_huge_weights_sample_their_own_posterior(self):
+        """A weight of 2e6 is sampled as given: the chain sits at fit_map's
+        mode of the same model, not at that of a tempered one."""
+        model = WeightedBLRModel(
+            np.array([[1.0], [-1.0], [0.5], [0.8]]),
+            np.array([1.0, -1.0, 1.0, -1.0]),
+            np.array([2e6, 1e3, 5.0, 1e6]),
+        )
+        mode, curvature = fit_map(model)
+        posterior = hmc_sample(model, total_samples=200, rng_seed=6)
+        assert np.all(np.isfinite(posterior.draws))
+        assert posterior.n_divergent == 0
+        sd = 1.0 / np.sqrt(curvature)
+        assert np.all(np.abs(posterior.draws.mean(axis=0) - mode) < 3.0 * sd)
+
     def test_weight_guard_rescales_and_records(self):
+        """hmc_sample has no weight guard any more: a weight of 2e6 is
+        sampled as given, with no warning and no rescale factor recorded."""
         model = WeightedBLRModel(
             np.array([[1.0], [-1.0], [0.5]]),
             np.array([1.0, -1.0, 1.0]),
             np.array([2e6, 1e3, 5.0]),
         )
-        posterior = hmc_sample(model, total_samples=60, burn_frac=0.5, rng_seed=6)
-        assert posterior.weight_rescale == 2e6
+        mode, curvature = fit_map(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            posterior = hmc_sample(model, total_samples=60, burn_frac=0.5,
+                                   rng_seed=6)
+        assert "weight_rescale" not in {f.name for f in fields(posterior)}
         assert np.all(np.isfinite(posterior.draws))
+        sd = 1.0 / np.sqrt(curvature)
+        assert np.all(np.abs(posterior.draws.mean(axis=0) - mode) < 3.0 * sd)
 
     def test_moderate_weights_are_not_rescaled(self):
+        """A weight of 100 is sampled as given: the chain sits at fit_map's
+        mode of the same model."""
         model = WeightedBLRModel(np.array([[1.0]]), np.array([1.0]),
                                  np.array([100.0]))
+        mode, curvature = fit_map(model)
         posterior = hmc_sample(model, total_samples=40, burn_frac=0.5, rng_seed=7)
-        assert posterior.weight_rescale == 1.0
+        assert np.all(np.isfinite(posterior.draws))
+        sd = 1.0 / np.sqrt(curvature)
+        assert np.all(np.abs(posterior.draws.mean(axis=0) - mode) < 3.0 * sd)
 
     def test_invalid_settings_raise(self):
         model = WeightedBLRModel(np.array([[1.0]]), np.array([1.0]))
