@@ -18,21 +18,13 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from .coreset import (
-    frankwolfe_construct,
-    giga_construct,
-    load_coreset,
-    materialize,
-    random_construct,
-    save_coreset,
-)
+from .coreset import compress, load_coreset, materialize, random_construct, save_coreset
 from .data import (
     StandardizationParams,
     apply_standardization,
     fit_standardization,
     load_dataset,
 )
-from .embed import build_projection_basis, embed_log_likelihoods
 from .errors import ConfigError, DataError, NumericalError
 from .experiments import (
     HMC_KEYS,
@@ -67,6 +59,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+
+def _count(text: str) -> int:
+    """argparse type of a count flag: a whole number of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {text!r}")
+    return int(text)
 
 
 def resolve_config(name: str) -> ExperimentConfig:
@@ -119,13 +118,9 @@ def cmd_coreset(args) -> int:
     if args.method == "random":
         built = random_construct(data.n, min(args.budget, data.n), args.seed)
     else:
-        params = fit_standardization(data)
-        std = apply_standardization(data, params)
-        basis = build_projection_basis(
-            std, args.d, derive_seed(args.seed, "basis"), weighting=args.weighting)
-        embedding = embed_log_likelihoods(std, basis)
-        construct = giga_construct if args.method == "giga" else frankwolfe_construct
-        built = construct(embedding, args.budget)
+        _, _, (built,) = compress(
+            data, (args.budget,), args.d, derive_seed(args.seed, "basis"),
+            args.weighting, "batch0", method=args.method)
     elapsed = time.perf_counter() - started
     save_coreset(built, args.out)
     diag = built.construction
@@ -234,8 +229,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=("giga", "fw", "random"),
                    default="giga")
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--d", type=int, default=500,
+    p.add_argument("--budget", type=_count, required=True)
+    p.add_argument("--d", type=_count, default=500,
                    help="embedding dimension for giga/fw")
     p.add_argument("--weighting", choices=("laplace", "prior"),
                    default="laplace")
@@ -248,11 +243,11 @@ def build_parser() -> _Parser:
     p.add_argument("--coreset", default=None)
     p.add_argument("--out", required=True, help="output stem for .npy/.json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--total-samples", type=int)
+    p.add_argument("--total-samples", type=_count)
     p.add_argument("--burn-frac", type=float)
-    p.add_argument("--thin", type=int)
+    p.add_argument("--thin", type=_count)
     p.add_argument("--target-accept", type=float)
-    p.add_argument("--leapfrog-steps", type=int)
+    p.add_argument("--leapfrog-steps", type=_count)
     p.add_argument("--jitter", type=float)
     p.add_argument("--initial-step-size", type=float,
                    help="skip the automatic step-size search")
@@ -261,7 +256,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="classify a test CSV with a posterior")
     p.add_argument("--posterior", required=True, help="stem used by train")
     p.add_argument("--data", required=True)
-    p.add_argument("--draws", type=int, default=1000)
+    p.add_argument("--draws", type=_count, default=1000)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("offline", help="run the offline experiment grid")

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed import LikelihoodEmbedding
+from .data import Dataset, StandardizationParams, apply_standardization, fit_standardization
+from .embed import LikelihoodEmbedding, build_projection_basis, embed_log_likelihoods
 from .errors import DataError, NumericalError
 
 # Degenerate denominators and residuals below this end construction early.
@@ -301,6 +302,29 @@ def frankwolfe_construct(
         "frankwolfe", embedding, batch_id, candidates, weights,
         iterations, trace, started, early_stop,
     )
+
+
+def compress(
+    data: Dataset, budgets: tuple[int, ...], d: int, rng_seed: int, weighting: str,
+    batch_id: str, method: str = "giga",
+) -> tuple[StandardizationParams, Dataset, list[Coreset]]:
+    """Compress one batch to a coreset per budget, in the batch's own frame.
+
+    The batch is standardized on itself; one basis of d draws seeded by
+    rng_seed and one embedding then serve a GIGA (or, with method="fw",
+    Frank-Wolfe) construction per budget. Coreset rows index data and the
+    returned std alike; train on std's rows, the frame they were built in.
+
+    Returns:
+        (params, std, coresets), with coresets in the order of budgets.
+    """
+    construct = frankwolfe_construct if method == "fw" else giga_construct
+    params = fit_standardization(data)
+    std = apply_standardization(data, params)
+    basis = build_projection_basis(std, d, rng_seed, weighting=weighting)
+    embedding = embed_log_likelihoods(std, basis)
+    built = [construct(embedding, m, batch_id=batch_id) for m in budgets]
+    return params, std, built
 
 
 def random_construct(

@@ -7,8 +7,9 @@ onto D parameter draws theta_1..theta_D from a weighting distribution:
 
 so Euclidean geometry on the rows approximates the function-space geometry
 that coreset construction needs. The weighting distribution defaults to a
-diagonal Laplace approximation of the posterior fitted on a pilot dataset,
-with an isotropic prior fallback for cheap or degenerate cases.
+diagonal Laplace approximation of the posterior fitted on a pilot dataset;
+the standard normal prior ("prior") is used only when the config asks for
+it, never as a fallback.
 """
 
 import logging
@@ -32,13 +33,9 @@ class ProjectionBasis:
 
     Attributes:
         theta_draws: shape (d, f), one parameter vector per dimension.
-        weighting: which distribution produced the draws.
-        rng_seed: seed the draws came from.
     """
 
     theta_draws: np.ndarray
-    weighting: str
-    rng_seed: int
 
     def __post_init__(self):
         draws = np.ascontiguousarray(np.asarray(self.theta_draws, dtype=np.float64))
@@ -64,7 +61,6 @@ class LikelihoodEmbedding:
 
     vectors: np.ndarray
     norms: np.ndarray
-    basis: ProjectionBasis
 
     def __post_init__(self):
         vectors = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float64))
@@ -121,11 +117,7 @@ def build_projection_basis(
         "projection basis: d=%d f=%d weighting=%s seed=%d",
         d, pilot.f, weighting, rng_seed,
     )
-    return ProjectionBasis(
-        theta_draws=draws,
-        weighting=weighting,
-        rng_seed=rng_seed,
-    )
+    return ProjectionBasis(draws)
 
 
 def embed_log_likelihoods(data: Dataset, basis: ProjectionBasis) -> LikelihoodEmbedding:
@@ -141,4 +133,4 @@ def embed_log_likelihoods(data: Dataset, basis: ProjectionBasis) -> LikelihoodEm
     margins = data.y[:, None] * (data.x @ basis.theta_draws.T)
     vectors = log_sigmoid(margins) / np.sqrt(basis.d)
     norms = np.linalg.norm(vectors, axis=1)
-    return LikelihoodEmbedding(vectors=vectors, norms=norms, basis=basis)
+    return LikelihoodEmbedding(vectors=vectors, norms=norms)

@@ -25,25 +25,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .coreset import Coreset, giga_construct, materialize, random_construct, save_coreset
+from .coreset import Coreset, compress, materialize, random_construct, save_coreset
 from .data import (
     CsvSchema,
     Dataset,
     apply_standardization,
     dataset_csv_text,
-    fit_standardization,
     generate_synthetic,
     ingest_csv,
     load_dataset,
     save_dataset,
     stratified_split,
 )
-from .embed import (
-    WEIGHTING_LAPLACE,
-    WEIGHTING_PRIOR,
-    build_projection_basis,
-    embed_log_likelihoods,
-)
+from .embed import WEIGHTING_LAPLACE, WEIGHTING_PRIOR
 from .errors import ConfigError, DataError, FlowCoresetError
 from .inference import (
     WeightedBLRModel,
@@ -458,14 +452,13 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
     # As in the stream, a GIGA coreset's reduction time counts the
     # standardization, basis and embedding every budget shares, in full,
     # plus its own construction; a random one's is its construction alone.
+    batch_id = f"ds{index}"
     started = time.perf_counter()
-    params = fit_standardization(train)
-    train_std = apply_standardization(train, params)
-    basis = build_projection_basis(
-        train_std, config.embedding_dim, derive_seed(root, "basis", index),
-        weighting=config.weighting)
-    embedding = embed_log_likelihoods(train_std, basis)
-    frame_seconds = time.perf_counter() - started
+    params, train_std, gigas = compress(
+        train, config.budgets, config.embedding_dim,
+        derive_seed(root, "basis", index), config.weighting, batch_id)
+    frame_seconds = time.perf_counter() - started - sum(
+        c.construction.wall_clock_seconds for c in gigas)
     test_std = apply_standardization(test, params)
 
     train_text = dataset_csv_text(train)
@@ -473,7 +466,6 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
     if out is not None:
         _save_splits(config, index, train, test, dropped, train_text, out)
 
-    batch_id = f"ds{index}"
     coresets: dict[str, tuple[Coreset, int, float]] = {}
 
     def store(name: str, built: Coreset, shared_seconds: float = 0.0) -> None:
@@ -498,9 +490,8 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
             built, storage,
             shared_seconds + built.construction.wall_clock_seconds)
 
-    for m in config.budgets:
-        store(f"giga_m{m}", giga_construct(embedding, m, batch_id=batch_id),
-              frame_seconds)
+    for m, giga in zip(config.budgets, gigas):
+        store(f"giga_m{m}", giga, frame_seconds)
     size = min(config.effective_random_size, train.n)
     store("random",
           random_construct(train.n, size, derive_seed(root, "randcs", index),

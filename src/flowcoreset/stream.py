@@ -21,9 +21,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .coreset import Coreset, aggregate, giga_construct, materialize, random_construct
+from .coreset import Coreset, aggregate, compress, materialize, random_construct
 from .data import Dataset, apply_standardization, fit_standardization
-from .embed import WEIGHTING_LAPLACE, build_projection_basis, embed_log_likelihoods
+from .embed import WEIGHTING_LAPLACE
 from .errors import ConfigError, DataError
 from .inference import WeightedBLRModel, accuracy, hmc_sample
 from .seeds import derive_seed
@@ -107,14 +107,10 @@ def _reduce_batch(plan: StreamPlan, step: int, batch_id: str,
             batch_id=batch_id,
         )
     # The pilot sees only this batch: streaming assumes no lookahead.
-    params = fit_standardization(batch)
-    std = apply_standardization(batch, params)
-    basis = build_projection_basis(
-        std, plan.embedding_dim, derive_seed(plan.rng_seed, "basis", step),
-        weighting=plan.weighting,
-    )
-    embedding = embed_log_likelihoods(std, basis)
-    return giga_construct(embedding, plan.coreset_budget, batch_id=batch_id)
+    _, _, (built,) = compress(
+        batch, (plan.coreset_budget,), plan.embedding_dim,
+        derive_seed(plan.rng_seed, "basis", step), plan.weighting, batch_id)
+    return built
 
 
 def run_stream(plan: StreamPlan) -> list[StepRecord]:

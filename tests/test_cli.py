@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main(argv) in-process."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -159,6 +160,27 @@ class TestExitCodes:
     def test_report_on_empty_directory_exits_two(self, tmp_path):
         assert main(["report", "--run", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command,flag", [
+        ("coreset", "--budget"), ("coreset", "--d"), ("eval", "--draws"),
+        ("train", "--total-samples"), ("train", "--thin"),
+        ("train", "--leapfrog-steps"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+    def test_count_flag_below_one_exits_one(self, workspace, tmp_path, caplog,
+                                            command, flag, value):
+        """A count flag's bad value is a usage error, even on good data."""
+        _, _, train_csv, _ = workspace
+        argv = [command, "--data", str(train_csv), flag, value]
+        if command == "coreset":
+            argv += ["--out", str(tmp_path / "cs.json"), "--budget", "5"]
+        elif command == "train":
+            argv += ["--out", str(tmp_path / "post")]
+        else:
+            argv += ["--posterior", str(tmp_path / "post")]
+        assert main(argv) == 1
+        assert "config error:" in caplog.text
+        assert not any(tmp_path.iterdir())
+
 
 class TestCoresetCommand:
     @pytest.mark.parametrize("method", ["giga", "fw", "random"])
@@ -315,3 +337,11 @@ class TestImports:
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_only_coreset_compress_builds_likelihood_coresets(self):
+        """Standardize, basis, embed and construct are one path: offline,
+        stream and CLI reach the basis and embedding only through compress."""
+        for name in ("experiments", "stream", "cli"):
+            module = importlib.import_module(f"flowcoreset.{name}")
+            for stage in ("build_projection_basis", "embed_log_likelihoods"):
+                assert not hasattr(module, stage), f"{name}.{stage}"

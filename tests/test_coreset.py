@@ -12,6 +12,7 @@ from flowcoreset.coreset import (
     Coreset,
     CoresetDiagnostics,
     aggregate,
+    compress,
     frankwolfe_construct,
     geodesic_step_size,
     giga_construct,
@@ -21,7 +22,12 @@ from flowcoreset.coreset import (
     reconstruction_residual,
     save_coreset,
 )
-from flowcoreset.data import Dataset, generate_synthetic
+from flowcoreset.data import (
+    Dataset,
+    apply_standardization,
+    fit_standardization,
+    generate_synthetic,
+)
 from flowcoreset.embed import ProjectionBasis, build_projection_basis, embed_log_likelihoods
 from flowcoreset.errors import DataError, NumericalError
 
@@ -104,8 +110,7 @@ class TestGigaConstruct:
         """N copies of one sample need a single entry of weight N."""
         x = np.tile(np.array([[0.8, -0.4]]), (7, 1))
         data = Dataset(x, np.ones(7))
-        basis = ProjectionBasis(np.array([[0.3, 0.1], [1.0, -1.0], [0.2, 2.0]]),
-                                "prior", 0)
+        basis = ProjectionBasis(np.array([[0.3, 0.1], [1.0, -1.0], [0.2, 2.0]]))
         emb = embed_log_likelihoods(data, basis)
         coreset = giga_construct(emb, m=5)
         assert coreset.size == 1
@@ -118,7 +123,7 @@ class TestGigaConstruct:
         the total and ties break to the lowest index."""
         rng = np.random.default_rng(2)
         data = Dataset(rng.normal(size=(5, 2)), rng.choice([-1.0, 1.0], size=5))
-        basis = ProjectionBasis(rng.normal(size=(1, 2)), "prior", 0)
+        basis = ProjectionBasis(rng.normal(size=(1, 2)))
         emb = embed_log_likelihoods(data, basis)
         coreset = giga_construct(emb, m=3)
         assert coreset.size == 1
@@ -183,7 +188,7 @@ class TestGigaConstruct:
         """A saturated row is not a candidate even with a large budget: one of
         norm 0, and one of norm ~1e-20 that points along the target and would
         be picked first, with a weight of ~1e20."""
-        basis = ProjectionBasis(np.array([[800.0]]), "prior", 0)
+        basis = ProjectionBasis(np.array([[800.0]]))
         for x0, norm_below in ((1.0, 1e-300), (0.0575, 1e-19)):
             x = np.vstack([np.full((1, 1), x0), np.full((5, 1), 1e-3)])
             emb = embed_log_likelihoods(Dataset(x, np.ones(6)), basis)
@@ -195,7 +200,7 @@ class TestGigaConstruct:
 
     def test_all_zero_embedding_raises(self):
         data = Dataset(np.full((3, 1), 1.0), np.ones(3))
-        basis = ProjectionBasis(np.array([[800.0]]), "prior", 0)
+        basis = ProjectionBasis(np.array([[800.0]]))
         emb = embed_log_likelihoods(data, basis)
         with pytest.raises(DataError):
             giga_construct(emb, m=2)
@@ -218,7 +223,7 @@ class TestFrankWolfeConstruct:
     def test_single_sample_is_exact(self):
         rng = np.random.default_rng(10)
         data = Dataset(rng.normal(size=(1, 2)), np.array([1.0]))
-        basis = ProjectionBasis(rng.normal(size=(4, 2)), "prior", 0)
+        basis = ProjectionBasis(rng.normal(size=(4, 2)))
         emb = embed_log_likelihoods(data, basis)
         coreset = frankwolfe_construct(emb, m=3)
         assert coreset.size == 1
@@ -243,8 +248,7 @@ class TestFrankWolfeConstruct:
     def test_identical_rows_collapse_to_one_entry(self):
         x = np.tile(np.array([[1.0, 0.5]]), (4, 1))
         data = Dataset(x, np.ones(4))
-        basis = ProjectionBasis(np.array([[0.2, 0.4], [1.0, -0.3]]),
-                                "prior", 0)
+        basis = ProjectionBasis(np.array([[0.2, 0.4], [1.0, -0.3]]))
         emb = embed_log_likelihoods(data, basis)
         coreset = frankwolfe_construct(emb, m=4)
         assert coreset.size == 1
@@ -276,6 +280,30 @@ class TestFrankWolfeConstruct:
         b = frankwolfe_construct(random_embedding(rng_b), m=7)
         np.testing.assert_array_equal(a.row_indices, b.row_indices)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+
+class TestCompress:
+    """compress against the stages it runs, called one by one."""
+
+    def test_matches_construction_on_a_hand_built_embedding(self):
+        data = generate_synthetic(20, 60, f=4, separation=2.0, rng_seed=15)
+        params, std, built = compress(data, (5, 12), 30, 16, "laplace", "b")
+        expected = apply_standardization(data, fit_standardization(data))
+        np.testing.assert_array_equal(std.x, expected.x)
+        np.testing.assert_array_equal(std.y, expected.y)
+        assert params.to_dict() == fit_standardization(data).to_dict()
+        emb = embed_log_likelihoods(
+            expected, build_projection_basis(expected, 30, 16, weighting="laplace"))
+        for m, coreset in zip((5, 12), built, strict=True):
+            direct = giga_construct(emb, m, batch_id="b")
+            assert coreset.batch_ids == direct.batch_ids
+            np.testing.assert_array_equal(coreset.row_indices, direct.row_indices)
+            np.testing.assert_array_equal(coreset.weights, direct.weights)
+        (fw,) = compress(data, (7,), 30, 16, "laplace", "b", method="fw")[2]
+        direct = frankwolfe_construct(emb, 7, batch_id="b")
+        assert fw.construction.method == "frankwolfe"
+        np.testing.assert_array_equal(fw.row_indices, direct.row_indices)
+        np.testing.assert_array_equal(fw.weights, direct.weights)
 
 
 class TestRandomConstruct:

@@ -16,11 +16,7 @@ from flowcoreset.inference import WeightedBLRModel, fit_map
 
 
 def manual_basis(theta_draws):
-    return ProjectionBasis(
-        theta_draws=np.asarray(theta_draws, dtype=float),
-        weighting="prior",
-        rng_seed=0,
-    )
+    return ProjectionBasis(np.asarray(theta_draws, dtype=float))
 
 
 class TestBuildProjectionBasis:
