@@ -13,7 +13,7 @@ it, never as a fallback.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,18 +57,28 @@ class ProjectionBasis:
 
 @dataclass(frozen=True)
 class LikelihoodEmbedding:
-    """Embedded log-likelihood rows for one dataset under one basis."""
+    """Embedded log-likelihood rows for one dataset under one basis.
+
+    total_vector is the row sum. giga_memo holds what coreset.giga_construct
+    derives from the rows and reuses across calls on this embedding; it is
+    a pure function of vectors and norms, so it never goes stale.
+    """
 
     vectors: np.ndarray
     norms: np.ndarray
+    total_vector: np.ndarray = field(init=False)
+    giga_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vectors = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float64))
         norms = np.asarray(self.norms, dtype=np.float64)
-        vectors.flags.writeable = False
-        norms.flags.writeable = False
+        total = vectors.sum(axis=0)
+        for array in (vectors, norms, total):
+            array.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "norms", norms)
+        object.__setattr__(self, "total_vector", total)
+        object.__setattr__(self, "giga_memo", {})
 
     @property
     def n(self) -> int:
@@ -77,10 +87,6 @@ class LikelihoodEmbedding:
     @property
     def d(self) -> int:
         return self.vectors.shape[1]
-
-    @property
-    def total_vector(self) -> np.ndarray:
-        return self.vectors.sum(axis=0)
 
 
 def build_projection_basis(
@@ -130,7 +136,11 @@ def embed_log_likelihoods(data: Dataset, basis: ProjectionBasis) -> LikelihoodEm
         raise DataError(
             f"feature dimension {data.f} does not match basis dimension {basis.f}"
         )
-    margins = data.y[:, None] * (data.x @ basis.theta_draws.T)
-    vectors = log_sigmoid(margins) / np.sqrt(basis.d)
+    # One n x d buffer goes from margins to vectors in place, so the peak is
+    # it and log_sigmoid's one temporary.
+    vectors = data.x @ basis.theta_draws.T
+    vectors *= data.y[:, None]
+    log_sigmoid(vectors, out=vectors)
+    vectors /= np.sqrt(basis.d)
     norms = np.linalg.norm(vectors, axis=1)
     return LikelihoodEmbedding(vectors=vectors, norms=norms)

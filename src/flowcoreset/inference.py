@@ -48,20 +48,22 @@ def _exp_neg_abs(m: np.ndarray) -> np.ndarray:
     return np.exp(e, out=e)
 
 
-def _log_sigmoid(m: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """log sigmoid(m) from e = exp(-|m|), written over e."""
+def _log_sigmoid(m: np.ndarray, e: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """log sigmoid(m) from e = exp(-|m|), which it overwrites, written to out."""
     np.log1p(e, out=e)
-    return np.subtract(np.minimum(m, 0.0), e, out=e)
+    low = np.minimum(m, 0.0, out=out)
+    return np.subtract(low, e, out=low)
 
 
-def log_sigmoid(margins: np.ndarray) -> np.ndarray:
+def log_sigmoid(margins: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log sigmoid(m) = min(m, 0) - log1p(exp(-|m|)), exact in both tails.
 
-    Works in place: it holds one temporary the size of the margins besides
-    its result, so it suits the n x d embedding matrix.
+    Holds one temporary the size of the margins besides its result, so it
+    suits the n x d embedding matrix; out=margins writes over the margins.
     """
     m = np.asarray(margins, dtype=np.float64)
-    return _log_sigmoid(m, _exp_neg_abs(m))
+    return _log_sigmoid(m, _exp_neg_abs(m), out)
 
 
 def sigmoid(margins: np.ndarray) -> np.ndarray:

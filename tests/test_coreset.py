@@ -9,6 +9,8 @@ import pytest
 from scipy.optimize import nnls
 
 from flowcoreset.coreset import (
+    _EPS,
+    _NORM_FLOOR,
     Coreset,
     CoresetDiagnostics,
     aggregate,
@@ -28,7 +30,12 @@ from flowcoreset.data import (
     fit_standardization,
     generate_synthetic,
 )
-from flowcoreset.embed import ProjectionBasis, build_projection_basis, embed_log_likelihoods
+from flowcoreset.embed import (
+    LikelihoodEmbedding,
+    ProjectionBasis,
+    build_projection_basis,
+    embed_log_likelihoods,
+)
 from flowcoreset.errors import DataError, NumericalError
 
 
@@ -53,6 +60,76 @@ def brute_force_residual(vectors, m):
             _, residual = nnls(vectors[list(support)].T, total)
             best = min(best, residual)
     return best
+
+
+def hand_embedding(vectors):
+    vectors = np.asarray(vectors, dtype=np.float64)
+    return LikelihoodEmbedding(vectors, np.linalg.norm(vectors, axis=1))
+
+
+def reference_giga(embedding, m):
+    """GIGA scoring every candidate against the residual direction with a
+    fresh n x d product per iteration.
+
+    Returns (rows, weights, alignment_trace, early_stop) after pruning
+    zero weights, as giga_construct reports them.
+    """
+    sigma = embedding.norms
+    floor = _NORM_FLOOR * float(np.median(sigma))
+    candidates = np.flatnonzero((sigma > 0.0) & (sigma >= floor))
+    total = embedding.vectors.sum(axis=0)
+    total_norm = float(np.linalg.norm(total))
+    ell = total / total_norm
+    dirs = embedding.vectors[candidates] / sigma[candidates, None]
+    base_scores = dirs @ ell
+    y = np.zeros(embedding.d)
+    u = np.zeros(candidates.size)
+    trace = []
+    zeta0 = 0.0
+    early_stop = None
+    for _ in range(m):
+        residual = ell - zeta0 * y
+        res_norm = float(np.linalg.norm(residual))
+        if res_norm < _EPS:
+            early_stop = "aligned"
+            break
+        scores = dirs @ (residual / res_norm)
+        n = int(np.argmax(scores))
+        if scores[n] <= 0.0:
+            early_stop = "no improving direction"
+            break
+        zeta1 = float(base_scores[n])
+        zeta2 = float(y @ dirs[n])
+        try:
+            gamma = geodesic_step_size(zeta0, zeta1, zeta2)
+        except NumericalError:
+            early_stop = "degenerate step"
+            break
+        if gamma == 0.0:
+            early_stop = "no improving direction"
+            break
+        stepped = (1.0 - gamma) * y + gamma * dirs[n]
+        nu = float(np.linalg.norm(stepped))
+        if nu < _EPS:
+            early_stop = "iterate collapsed"
+            break
+        y = stepped / nu
+        u *= 1.0 - gamma
+        u[n] += gamma
+        u /= nu
+        zeta0 = float(ell @ y)
+        trace.append(zeta0)
+    weights = total_norm * max(zeta0, 0.0) * u / sigma[candidates]
+    support = np.flatnonzero(weights > 0.0)
+    return candidates[support], weights[support], trace, early_stop
+
+
+def assert_same_coreset(coreset, expected):
+    rows, weights, trace, early_stop = expected
+    np.testing.assert_array_equal(coreset.row_indices, rows)
+    np.testing.assert_array_equal(coreset.weights, weights)
+    assert coreset.construction.alignment_trace == trace
+    assert coreset.construction.early_stop == early_stop
 
 
 def sphere_alignment(zeta0, zeta1, zeta2, gammas):
@@ -217,6 +294,89 @@ class TestGigaConstruct:
         rng = np.random.default_rng(9)
         with pytest.raises(DataError):
             giga_construct(random_embedding(rng), m=0)
+
+
+class TestGigaMatchesReference:
+    """giga_construct scores from memoised products; the reference takes a
+    fresh n x d product per iteration. Their coresets agree exactly."""
+
+    def test_random_embeddings(self):
+        rng = np.random.default_rng(17)
+        for n, f, d in ((20, 3, 8), (60, 4, 20), (300, 5, 40)):
+            for m in (1, 7, 40, 200):
+                emb = random_embedding(rng, n=n, f=f, d=d)
+                assert_same_coreset(giga_construct(emb, m), reference_giga(emb, m))
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(18)
+        distinct = random_embedding(rng, n=15, f=3, d=10).vectors
+        for _ in range(5):
+            emb = hand_embedding(distinct[rng.integers(15, size=60)])
+            assert_same_coreset(giga_construct(emb, 50), reference_giga(emb, 50))
+
+    def test_rank_one_embedding(self):
+        rng = np.random.default_rng(19)
+        direction = rng.normal(size=12)
+        emb = hand_embedding(rng.uniform(0.5, 2.0, size=(25, 1)) * direction)
+        coreset = giga_construct(emb, 10)
+        assert_same_coreset(coreset, reference_giga(emb, 10))
+        assert coreset.size == 1
+
+    def test_rows_below_the_norm_floor(self):
+        rng = np.random.default_rng(20)
+        vectors = random_embedding(rng, n=50, f=3, d=12).vectors.copy()
+        vectors[::5] *= 1e-3
+        vectors[1] = 0.0
+        emb = hand_embedding(vectors)
+        coreset = giga_construct(emb, 60)
+        assert_same_coreset(coreset, reference_giga(emb, 60))
+        assert not set(coreset.row_indices) & ({1} | set(range(0, 50, 5)))
+
+    @pytest.mark.parametrize("rows, m, early_stop", [
+        ([[0.3, -0.2, 0.9], [0.1, 0.8, 0.4], [0.7, 0.5, 0.1]], 2, None),
+        ([[0.3, 0.4]] * 4, 5, "aligned"),
+        # Candidates along e1; the rest of the total sits in a row below
+        # the norm floor, so after one step every score is zero.
+        ([[1.0, 0.0]] * 5 + [[0.0, 0.005]], 4, "no improving direction"),
+        # The best alignment with the total is ~1e-15: no step is defined.
+        ([[1e3, 1e-12], [-1e3, 1e-12]], 3, "degenerate step"),
+        # After e1, the second pick is antipodal up to 1.5e-14, so the
+        # half-way step lands on the origin.
+        ([[1.0, 0.0]] * 32 + [[-1.0, 1.5e-14]] * 31 + [[0.0, 0.00999]] * 61, 5,
+         "iterate collapsed"),
+    ])
+    def test_each_early_stop(self, rows, m, early_stop):
+        emb = hand_embedding(rows)
+        coreset = giga_construct(emb, m)
+        assert coreset.construction.early_stop == early_stop
+        assert_same_coreset(coreset, reference_giga(emb, m))
+
+
+class TestGigaMemo:
+    def test_warm_call_matches_cold_call(self):
+        rng = np.random.default_rng(21)
+        emb = random_embedding(rng, n=80, f=4, d=30)
+        cold = giga_construct(emb, 60)
+        assert emb.giga_memo["columns"]
+        warm = giga_construct(emb, 60)
+        np.testing.assert_array_equal(warm.row_indices, cold.row_indices)
+        np.testing.assert_array_equal(warm.weights, cold.weights)
+        assert warm.construction.alignment_trace == cold.construction.alignment_trace
+        assert warm.construction.early_stop == cold.construction.early_stop
+        assert_same_coreset(giga_construct(emb, 25), reference_giga(emb, 25))
+
+    def test_holds_at_most_d_columns(self):
+        """With d=3 the walk picks more distinct rows than the memo keeps;
+        picks past the cap are recomputed, with the same result."""
+        rng = np.random.default_rng(23)
+        emb = random_embedding(rng, n=100, f=3, d=3)
+        expected = reference_giga(emb, 50)
+        coreset = giga_construct(emb, 50)
+        assert coreset.size > 3
+        assert len(emb.giga_memo["columns"]) == 3
+        assert_same_coreset(coreset, expected)
+        assert_same_coreset(giga_construct(emb, 50), expected)
+        assert len(emb.giga_memo["columns"]) == 3
 
 
 class TestFrankWolfeConstruct:

@@ -1,6 +1,7 @@
 """Tests for log-likelihood embedding against direct scalar evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from flowcoreset.embed import (
     embed_log_likelihoods,
 )
 from flowcoreset.errors import ConfigError, DataError
-from flowcoreset.inference import WeightedBLRModel, fit_map
+from flowcoreset.inference import WeightedBLRModel, fit_map, log_sigmoid
 
 
 def manual_basis(theta_draws):
@@ -105,6 +106,25 @@ class TestEmbedLogLikelihoods:
         basis = manual_basis(rng.normal(size=(5, 2)))
         emb = embed_log_likelihoods(data, basis)
         np.testing.assert_allclose(emb.total_vector, emb.vectors.sum(axis=0))
+
+    def test_builds_in_place_with_one_temporary(self):
+        """Margins become vectors in one buffer: the peak allocation is the
+        result plus log_sigmoid's one temporary, and the vectors equal the
+        out-of-place expression bit for bit."""
+        rng = np.random.default_rng(16)
+        data = Dataset(rng.normal(size=(2000, 6)), rng.choice([-1.0, 1.0], size=2000))
+        basis = manual_basis(rng.normal(scale=2.0, size=(500, 6)))
+        tracemalloc.start()
+        try:
+            emb = embed_log_likelihoods(data, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * emb.vectors.nbytes
+        margins = data.y[:, None] * (data.x @ basis.theta_draws.T)
+        np.testing.assert_array_equal(emb.vectors, log_sigmoid(margins) / np.sqrt(500))
+        np.testing.assert_array_equal(emb.norms, np.linalg.norm(emb.vectors, axis=1))
+        np.testing.assert_array_equal(emb.total_vector, emb.vectors.sum(axis=0))
 
     def test_saturated_rows_are_flagged_zero_norm(self):
         """Margins past the underflow point embed with norm zero."""
