@@ -24,10 +24,10 @@ from .data import (
     apply_standardization,
     fit_standardization,
     load_dataset,
+    load_json,
 )
 from .errors import ConfigError, DataError, NumericalError
 from .experiments import (
-    HMC_KEYS,
     ExperimentConfig,
     load_config,
     prepare_datasets,
@@ -36,6 +36,7 @@ from .experiments import (
     run_stream_experiment,
 )
 from .inference import (
+    SAMPLER_DEFAULTS,
     WeightedBLRModel,
     accuracy,
     hmc_sample,
@@ -146,10 +147,7 @@ def cmd_train(args) -> int:
             *materialize(built, dict.fromkeys(built.batch_ids, std)))
     else:
         model = WeightedBLRModel.from_dataset(std)
-    # The sampler flags' argparse names are the HMC_KEYS; a flag left unset
-    # leaves hmc_sample's default.
-    settings = {key: getattr(args, key) for key in HMC_KEYS
-                if getattr(args, key) is not None}
+    settings = {name: getattr(args, name) for name in SAMPLER_DEFAULTS}
     posterior = hmc_sample(model, rng_seed=args.seed, **settings)
     save_posterior(posterior, args.out)
     _standardization_path(args.out).write_text(
@@ -165,12 +163,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     posterior = load_posterior(args.posterior)
-    std_path = _standardization_path(args.posterior)
-    data, _ = load_dataset(args.data)
-    if std_path.exists():
-        params = StandardizationParams.from_dict(
-            json.loads(std_path.read_text()))
-        data = apply_standardization(data, params)
+    # The posterior was trained on standardized features; without its
+    # frame the test rows cannot be classified in it.
+    params = load_json(_standardization_path(args.posterior),
+                       StandardizationParams.from_dict)
+    data = apply_standardization(load_dataset(args.data)[0], params)
     draws = min(args.draws, posterior.n_draws)
     acc = accuracy(posterior, data, n_draws=draws)
     print(json.dumps({"accuracy": acc, "samples": data.n, "draws": draws}))
@@ -181,7 +178,10 @@ def cmd_offline(args) -> int:
     config = _configure(args)
     report = run_offline(config, args.out)
     for condition, mean in report["grand_mean_accuracy"].items():
-        log.info("%s: mean accuracy %.4f", condition, mean)
+        if mean is None:
+            log.info("%s: no successful trial", condition)
+        else:
+            log.info("%s: mean accuracy %.4f", condition, mean)
     print(Path(args.out) / "report.json")
     return 0
 
@@ -243,14 +243,9 @@ def build_parser() -> _Parser:
     p.add_argument("--coreset", default=None)
     p.add_argument("--out", required=True, help="output stem for .npy/.json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--total-samples", type=_count)
-    p.add_argument("--burn-frac", type=float)
-    p.add_argument("--thin", type=_count)
-    p.add_argument("--target-accept", type=float)
-    p.add_argument("--leapfrog-steps", type=_count)
-    p.add_argument("--jitter", type=float)
-    p.add_argument("--initial-step-size", type=float,
-                   help="skip the automatic step-size search")
+    for name, default in SAMPLER_DEFAULTS.items():  # hmc_sample checks them
+        p.add_argument("--" + name.replace("_", "-"), default=default,
+                       type=int if isinstance(default, int) else float)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="classify a test CSV with a posterior")

@@ -28,7 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, StandardizationParams, apply_standardization, fit_standardization
+from .data import (
+    Dataset,
+    StandardizationParams,
+    apply_standardization,
+    fit_standardization,
+    load_json,
+)
 from .embed import LikelihoodEmbedding, build_projection_basis, embed_log_likelihoods
 from .errors import DataError, NumericalError
 
@@ -459,7 +465,4 @@ def save_coreset(coreset: Coreset, path: str | Path):
 
 
 def load_coreset(path: str | Path) -> Coreset:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"{path}: no such coreset file")
-    return Coreset.from_dict(json.loads(path.read_text()))
+    return load_json(path, Coreset.from_dict)

@@ -313,13 +313,31 @@ def save_dataset(data: Dataset, path: str | Path, provenance: dict | None = None
     _sidecar_path(path).write_text(json.dumps(meta) + "\n")
 
 
+def load_json(path: str | Path, parse=dict):
+    """parse(the JSON object in an artifact file).
+
+    A missing file, text that is not a JSON object, or a field that parse
+    finds missing or of the wrong type is a DataError.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"{path}: no such file")
+    try:
+        raw = json.loads(path.read_text())
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: not a JSON object")
+        return parse(raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
+
+
 def load_dataset(path: str | Path) -> tuple[Dataset, dict]:
     """Load a dataset written by save_dataset. Returns (dataset, provenance)."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: no such dataset file")
     sidecar = _sidecar_path(path)
-    meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+    meta = load_json(sidecar) if sidecar.exists() else {}
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)

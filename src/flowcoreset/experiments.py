@@ -34,6 +34,7 @@ from .data import (
     generate_synthetic,
     ingest_csv,
     load_dataset,
+    load_json,
     save_dataset,
     stratified_split,
 )
@@ -42,6 +43,7 @@ from .errors import ConfigError, DataError, FlowCoresetError
 from .inference import (
     WeightedBLRModel,
     accuracy,
+    check_sampler_settings,
     hmc_sample,
     save_posterior,
     svm_accuracy,
@@ -73,13 +75,6 @@ def _require_count(value, name: str, least: int = 1):
     _require(isinstance(value, Integral) and not isinstance(value, bool)
              and value >= least,
              f"{name} must be a whole number >= {least}, got {value!r}")
-
-
-# Sampler settings a config may forward to hmc_sample, each with the type
-# it takes; only initial_step_size may be null.
-HMC_KEYS = {"total_samples": Integral, "burn_frac": Real, "thin": Integral,
-            "target_accept": Real, "leapfrog_steps": Integral,
-            "jitter": Real, "initial_step_size": (Real, type(None))}
 
 
 @dataclass(frozen=True)
@@ -187,12 +182,7 @@ class ExperimentConfig:
             _require_count(self.random_size, "random_size")
         _require(self.weighting in (WEIGHTING_LAPLACE, WEIGHTING_PRIOR),
                  f"unknown weighting {self.weighting!r}")
-        for key, value in self.hmc.items():
-            _require(key in HMC_KEYS, f"unknown hmc setting {key!r}")
-            kind = HMC_KEYS[key]
-            _require(isinstance(value, kind) and not isinstance(value, bool),
-                     f"hmc {key} must be a "
-                     f"{'whole ' if kind is Integral else ''}number, got {value!r}")
+        check_sampler_settings(self.hmc)
         _require_count(self.predict_draws, "predict_draws")
         _require_count(self.svm_epochs, "svm epochs")
         _require(isinstance(self.svm_reg, Real)
@@ -202,6 +192,9 @@ class ExperimentConfig:
         _require_count(self.rng_seed, "rng_seed", least=0)
         _require(isinstance(self.persist_posteriors, bool),
                  "persist_posteriors must be true or false")
+        _require(self.stream is None or bool(self.stream.batch_paths)
+                 or isinstance(self.source, SyntheticSpec),
+                 "synthetic stream batches need a synthetic source")
 
     @property
     def effective_random_size(self) -> int:
@@ -668,8 +661,6 @@ def _stream_arrivals(config: ExperimentConfig, rep: int):
             tests.append(load_dataset(tpath)[0])
         return tuple(batches), tuple(tests)
     src = config.source
-    if not isinstance(src, SyntheticSpec):
-        raise ConfigError("synthetic stream batches need a synthetic source")
     steps = spec.n_batches
     pool = generate_synthetic(
         steps * (spec.batch_pos + spec.test_pos),
@@ -880,7 +871,7 @@ def regenerate_report(run_dir: str | Path, fmt: str = "both") -> list[Path]:
         missing.extend([f"{offline_path} or {stream_path}"])
     if missing:
         raise DataError("missing run artifacts: " + ", ".join(missing))
-    config_dict = json.loads(config_path.read_text())
+    config_dict = load_json(config_path)
 
     written: list[Path] = []
     jobs = []

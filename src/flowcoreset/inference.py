@@ -16,12 +16,13 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
-from .errors import DataError, NumericalError
+from .data import Dataset, load_json
+from .errors import ConfigError, DataError, NumericalError
 
 # MAP fit limits. Far from the mode a Newton step moves a heavily weighted
 # row's margin by about 1, so a weight of 1e29 takes ~70 steps.
@@ -269,6 +270,7 @@ def _find_initial_step(model, theta, logp, grad, rng):
 
 def hmc_sample(
     model: WeightedBLRModel,
+    *,
     total_samples: int = 10000,
     burn_frac: float = 0.5,
     thin: int = 2,
@@ -286,21 +288,11 @@ def hmc_sample(
     per proposal is jittered uniformly by +-jitter around leapfrog_steps.
 
     Raises:
+        ConfigError: a setting that check_sampler_settings refuses.
         NumericalError: more than half of a recent window of proposals
             diverged (non-finite Hamiltonian).
     """
-    if total_samples < 1:
-        raise DataError("total_samples must be at least 1")
-    if not 0.0 <= burn_frac < 1.0:
-        raise DataError("burn_frac must lie in [0, 1)")
-    if thin < 1:
-        raise DataError("thin must be at least 1")
-    if not 0.0 < target_accept < 1.0:
-        raise DataError("target_accept must lie in (0, 1)")
-    if leapfrog_steps < 1:
-        raise DataError("leapfrog_steps must be at least 1")
-    if not 0.0 <= jitter < 1.0:
-        raise DataError("jitter must lie in [0, 1)")
+    check_sampler_settings({k: v for k, v in locals().items() if k in SAMPLER_DEFAULTS})
 
     rng = np.random.default_rng(rng_seed)
     theta = np.zeros(model.f)
@@ -308,8 +300,6 @@ def hmc_sample(
 
     eps = initial_step_size or _find_initial_step(model, theta, logp, grad, rng)
     n_burn = int(round(total_samples * burn_frac))
-    if total_samples - n_burn < 1:
-        raise DataError("burn_frac leaves no retained draws")
 
     mu = math.log(10.0 * eps)
     log_eps = math.log(eps)
@@ -371,11 +361,9 @@ def hmc_sample(
             if (t - n_burn - 1) % thin == 0:
                 kept.append(theta.copy())
 
-    draws = np.vstack(kept)
-    acceptance = post_accepted / post_total if post_total else 0.0
     return PosteriorSamples(
-        draws=draws,
-        acceptance_rate=acceptance,
+        draws=np.vstack(kept),
+        acceptance_rate=post_accepted / post_total,
         step_size=eps_final,
         leapfrog_steps=leapfrog_steps,
         burn_in=n_burn,
@@ -383,6 +371,36 @@ def hmc_sample(
         rng_seed=rng_seed,
         n_divergent=n_divergent,
     )
+
+
+# hmc_sample's settings and their defaults, read from their one home: its signature.
+SAMPLER_DEFAULTS = {name: default for name, default
+                    in hmc_sample.__kwdefaults__.items() if name != "rng_seed"}
+
+
+def check_sampler_settings(settings: dict) -> None:
+    """ConfigError unless hmc_sample can run these settings, with its defaults for
+    those left out, in the ranges dual averaging needs (Hoffman & Gelman, 2014)."""
+    for name, value in settings.items():
+        if name not in SAMPLER_DEFAULTS:
+            raise ConfigError(f"unknown sampler setting {name!r}")
+        count = isinstance(SAMPLER_DEFAULTS[name], int)
+        if not (value is None and SAMPLER_DEFAULTS[name] is None
+                or isinstance(value, Integral if count else Real)
+                and not isinstance(value, bool)
+                and (value >= 1 if count else -math.inf < value < math.inf)):
+            kind = "whole number >= 1" if count else "finite number"
+            raise ConfigError(f"sampler setting {name}={value!r} is not a {kind}")
+    s = {**SAMPLER_DEFAULTS, **settings}
+    n, burn, step = s["total_samples"], s["burn_frac"], s["initial_step_size"]
+    for name, bound, ok in (
+            ("burn_frac", "in [0, 1) with a draw kept",
+             0 <= burn < 1 and n - round(n * burn) >= 1),
+            ("target_accept", "in (0, 1)", 0 < s["target_accept"] < 1),
+            ("jitter", "in [0, 1)", 0 <= s["jitter"] < 1),
+            ("initial_step_size", "positive or null", step is None or step > 0)):
+        if not ok:
+            raise ConfigError(f"sampler setting {name}={s[name]!r} is not {bound}")
 
 
 def predict_batch(
@@ -489,9 +507,11 @@ def save_posterior(posterior: PosteriorSamples, stem: str | Path):
 def load_posterior(stem: str | Path) -> PosteriorSamples:
     stem = Path(stem)
     npy = stem.with_suffix(".npy")
-    meta_path = stem.with_suffix(".json")
-    if not npy.is_file() or not meta_path.is_file():
-        raise DataError(f"{stem}: posterior artifacts missing")
-    draws = np.load(npy)
-    meta = json.loads(meta_path.read_text())
-    return PosteriorSamples(draws=draws, **{name: meta[name] for name in _SETTINGS})
+    if not npy.is_file():
+        raise DataError(f"{npy}: no such file")
+    try:
+        draws = np.load(npy)
+    except (EOFError, OSError, ValueError) as exc:
+        raise DataError(f"{npy}: malformed ({exc})") from exc
+    return load_json(stem.with_suffix(".json"), lambda meta: PosteriorSamples(
+        draws=draws, **{name: meta[name] for name in _SETTINGS}))

@@ -2,7 +2,9 @@
 
 import importlib
 import json
+import logging
 import os
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -14,7 +16,8 @@ import flowcoreset
 from flowcoreset.cli import main, resolve_config
 from flowcoreset.coreset import load_coreset
 from flowcoreset.data import fit_standardization, load_dataset
-from flowcoreset.errors import ConfigError
+from flowcoreset.errors import ConfigError, NumericalError
+from flowcoreset.experiments import OFFLINE_COLUMNS, write_rows
 
 TINY = {
     "source": {"kind": "synthetic", "n_datasets": 1, "train_pos": 15,
@@ -122,14 +125,27 @@ class TestExitCodes:
         assert code == 1
         assert "config error:" in caplog.text
 
+    @pytest.mark.parametrize("hmc", [
+        pytest.param({"thin": "x"}, id="thin-x"),
+        pytest.param({"burn_frac": 1.5}, id="burn_frac-1.5"),
+        pytest.param({"target_accept": 1.0}, id="target_accept-1"),
+        pytest.param({"jitter": -0.1}, id="jitter-neg"),
+        pytest.param({"initial_step_size": -1.0}, id="initial_step_size-neg"),
+        pytest.param({"initial_step_size": 0.0}, id="initial_step_size-0"),
+        pytest.param({"total_samples": 1, "burn_frac": 0.9},
+                     id="no-retained-draw"),
+    ])
     def test_mistyped_sampler_setting_exits_before_any_work(self, tmp_path,
-                                                            caplog):
+                                                            caplog, hmc):
+        """A sampler setting hmc_sample would refuse is refused when the
+        config loads, before the run directory holds anything."""
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**TINY, "hmc": {"thin": "x"}}))
+        path.write_text(json.dumps({**TINY, "hmc": hmc}))
         out = tmp_path / "run"
         code = main(["offline", "--config", str(path), "--out", str(out)])
         assert code == 1
         assert "config error:" in caplog.text
+        assert not (out / "config.json").exists()
         assert not (out / "datasets").exists()
 
     def test_fractional_stream_count_exits_one_without_a_run(self, tmp_path,
@@ -142,6 +158,25 @@ class TestExitCodes:
         code = main(["stream", "--config", str(path), "--out", str(out)])
         assert code == 1
         assert "config error:" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synthetic_stream_on_a_csv_source_exits_one_without_a_run(
+            self, workspace, tmp_path, capsys, caplog):
+        _, _, train_csv, _ = workspace
+        source = {"kind": "csv", "paths": [str(train_csv)],
+                  "label_column": "label", "label_map": {"1": 1, "-1": -1},
+                  "feature_columns": None, "train_pos": 5, "train_neg": 5,
+                  "test_pos": 5, "test_neg": 5}
+        stream = {"modes": ["pool_full"], "n_batches": 2, "batch_pos": 15,
+                  "batch_neg": 75, "test_pos": 25, "test_neg": 25}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, "source": source,
+                                    "stream": stream}))
+        out = tmp_path / "run"
+        code = main(["stream", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert "synthetic stream batches need a synthetic source" in caplog.text
         assert "Traceback" not in caplog.text + capsys.readouterr().err
         assert not out.exists()
 
@@ -180,6 +215,68 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "config error:" in caplog.text
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--burn-frac", "1.5"), ("--jitter", "2"),
+        ("--initial-step-size", "-1"), ("--initial-step-size", "0"),
+        ("--target-accept", "nan"),
+    ])
+    def test_out_of_range_sampler_flag_exits_one(self, workspace, tmp_path,
+                                                 capsys, caplog, flag, value):
+        """The sampler's own check makes a bad flag a usage error."""
+        _, _, train_csv, _ = workspace
+        code = main(["train", "--data", str(train_csv),
+                     "--out", str(tmp_path / "post"), flag, value])
+        assert code == 1
+        assert "config error:" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("case", ["coreset-no-weight", "coreset-not-json",
+                                      "posterior-sidecar-empty",
+                                      "posterior-draws-truncated",
+                                      "run-config-truncated",
+                                      "eval-without-std-json"])
+    def test_malformed_artifact_exits_two(self, workspace, full_posterior,
+                                          tmp_path, capsys, caplog, case):
+        """A damaged or missing artifact file is a data error, never a raw
+        exception or an answer in the wrong feature frame."""
+        _, _, train_csv, test_csv = workspace
+        stem = tmp_path / "post"
+        for suffix in (".npy", ".json", ".std.json"):
+            shutil.copy(full_posterior.with_suffix(suffix),
+                        stem.with_suffix(suffix))
+        eval_argv = ["eval", "--posterior", str(stem), "--data", str(test_csv)]
+        coreset = tmp_path / "cs.json"
+        train_argv = ["train", "--data", str(train_csv), "--coreset",
+                      str(coreset), "--out", str(tmp_path / "cs_post"),
+                      *TRAIN_FLAGS]
+        if case == "coreset-no-weight":
+            coreset.write_text(json.dumps({"entries": [
+                {"batch_id": "batch0", "row_index": 0}]}))
+            argv = train_argv
+        elif case == "coreset-not-json":
+            coreset.write_text("{\"entries\": [")
+            argv = train_argv
+        elif case == "posterior-sidecar-empty":
+            stem.with_suffix(".json").write_text("{}")
+            argv = eval_argv
+        elif case == "posterior-draws-truncated":
+            npy = stem.with_suffix(".npy")
+            npy.write_bytes(npy.read_bytes()[:100])
+            argv = eval_argv
+        elif case == "run-config-truncated":
+            run = tmp_path / "run"
+            run.mkdir()
+            write_rows(run / "results.csv", [], OFFLINE_COLUMNS)
+            (run / "config.json").write_text(json.dumps(TINY)[:40])
+            argv = ["report", "--run", str(run)]
+        else:
+            stem.with_suffix(".std.json").unlink()
+            argv = eval_argv
+        assert main(argv) == 2
+        assert "data error:" in caplog.text
+        assert "accuracy" not in capsys.readouterr().out
 
 
 class TestCoresetCommand:
@@ -308,6 +405,25 @@ class TestExperimentCommands:
         capsys.readouterr()
         report = json.loads((out / "stream_report.json").read_text())
         assert [arm["mode"] for arm in report["arms"]] == ["pool_full"]
+
+    def test_offline_logs_a_condition_with_no_successful_trial(
+            self, workspace, tmp_path, capsys, caplog, monkeypatch):
+        """A condition whose every chain failed is logged as such, not
+        formatted as a number."""
+        _, cfg, _, _ = workspace
+        caplog.set_level(logging.INFO, logger="flowcoreset")
+
+        def diverge(*args, **kwargs):
+            raise NumericalError("HMC aborted: persistent divergences")
+
+        monkeypatch.setattr("flowcoreset.experiments.hmc_sample", diverge)
+        out = tmp_path / "run"
+        assert main(["offline", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "Logging error" not in capsys.readouterr().err
+        assert "blr_full: no successful trial" in caplog.text
+        report = json.loads((out / "report.json").read_text())
+        assert report["grand_mean_accuracy"]["blr_full"] is None
+        assert report["grand_mean_accuracy"]["svm"] is not None
 
     def test_report_command_recreates_deleted_outputs(self, workspace,
                                                       tmp_path, capsys):

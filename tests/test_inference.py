@@ -15,7 +15,7 @@ from flowcoreset.data import (
     generate_synthetic,
     stratified_split,
 )
-from flowcoreset.errors import DataError, NumericalError
+from flowcoreset.errors import ConfigError, DataError, NumericalError
 from flowcoreset.inference import (
     PosteriorSamples,
     WeightedBLRModel,
@@ -366,15 +366,18 @@ class TestHmc:
         assert np.all(np.abs(posterior.draws.mean(axis=0) - mode) < 3.0 * sd)
 
     def test_invalid_settings_raise(self):
+        """A setting the sampler cannot run is a config error, raised
+        before any draw."""
         model = WeightedBLRModel(np.array([[1.0]]), np.array([1.0]))
-        with pytest.raises(DataError):
-            hmc_sample(model, total_samples=0)
-        with pytest.raises(DataError):
-            hmc_sample(model, burn_frac=1.0)
-        with pytest.raises(DataError):
-            hmc_sample(model, thin=0)
-        with pytest.raises(DataError):
-            hmc_sample(model, target_accept=1.0)
+        for settings in (
+            {"total_samples": 0}, {"burn_frac": 1.0}, {"thin": 0},
+            {"target_accept": 1.0}, {"jitter": -0.1}, {"leapfrog_steps": 0},
+            {"initial_step_size": 0.0}, {"initial_step_size": math.inf},
+            {"total_samples": 1, "burn_frac": 0.9}, {"thin": 2.0},
+            {"burn_frac": math.nan}, {"jitter": True},
+        ):
+            with pytest.raises(ConfigError):
+                hmc_sample(model, **settings)
 
 
 def manual_posterior(draws):
