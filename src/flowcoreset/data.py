@@ -242,6 +242,9 @@ def fit_standardization(train: Dataset) -> StandardizationParams:
 
 def apply_standardization(data: Dataset, params: StandardizationParams) -> Dataset:
     """Apply fitted params; never refits on the incoming data."""
+    if not np.shape(params.mean) == np.shape(params.scale) == (data.f,):
+        raise DataError(f"standardization fitted on {np.size(params.mean)} "
+                        f"features, data has {data.f}")
     return Dataset((data.x - params.mean) / params.scale, data.y)
 
 

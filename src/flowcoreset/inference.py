@@ -38,6 +38,10 @@ _DA_KAPPA = 0.75
 # proposals diverge.
 _DIVERGENCE_WINDOW = 100
 
+# Sampler counts stay within the integers a float holds exactly: the
+# sampler does float arithmetic on them (burn-in, jittered step counts).
+_MAX_COUNT = 2**53
+
 
 def _exp_neg_abs(m: np.ndarray) -> np.ndarray:
     """e = exp(-|m|) in a fresh buffer: the one exp both logistic terms need.
@@ -127,18 +131,19 @@ class WeightedBLRModel:
         return WeightedBLRModel(data.x, data.y, weights)
 
 
-def log_posterior(model: WeightedBLRModel, theta: np.ndarray,
-                  value: bool = True):
+def log_posterior(model: WeightedBLRModel, theta: np.ndarray):
     """Unnormalized log posterior and its gradient at theta.
 
-    Both come from one exp(-|m|) pass over the margins. With value=False
-    only the gradient is computed and returned, as the interior leapfrog
-    steps need; it equals the gradient of the full call exactly.
+    Both come from one exp(-|m|) pass over the margins, exact in both
+    tails, in three n-sized buffers: the margins, e = exp(-|m|) and
+    sigmoid(-m). The sampler calls it once per trajectory, at the last
+    leapfrog step, where accept/reject needs the value; its interior
+    steps take the gradient from `_gradient`.
 
     Returns:
-        (value, gradient) where gradient has shape (f,), or the gradient
-        alone with value=False. A non-finite theta yields value -inf rather
-        than raising, so the sampler can treat it as a divergence.
+        (value, gradient) where gradient has shape (f,). A non-finite
+        theta yields value -inf rather than raising, so the sampler can
+        treat it as a divergence.
     """
     theta = np.asarray(theta, dtype=np.float64)
     # Overflowing trajectories surface as -inf values, not warnings; the
@@ -146,15 +151,34 @@ def log_posterior(model: WeightedBLRModel, theta: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         margins = model._yx @ theta
         e = _exp_neg_abs(margins)
-        # d/dm of log sigmoid(m) is sigmoid(-m) = where(m > 0, e, 1) / (1 + e).
-        grad = model._wyx_t @ (np.where(margins > 0.0, e, 1.0) / (1.0 + e)) - theta
-        if not value:
-            return grad
-        loglik = float(model.weights @ _log_sigmoid(margins, e))
+        # d/dm of log sigmoid(m) is sigmoid(-m): e / (1 + e) where m > 0,
+        # else 1 / (1 + e).
+        s = np.add(e, 1.0)
+        positive = margins > 0.0
+        np.divide(e, s, out=s, where=positive)
+        np.reciprocal(s, out=s, where=np.logical_not(positive, out=positive))
+        grad = model._wyx_t @ s - theta
+        loglik = float(model.weights @ _log_sigmoid(margins, e, out=margins))
         value = -0.5 * float(theta @ theta) + loglik
     if not math.isfinite(value):
         value = -math.inf
     return value, grad
+
+
+def _gradient(model: WeightedBLRModel, theta: np.ndarray, sig: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """log_posterior's gradient at theta, written to out, with the n-sized
+    sig as scratch; allocates nothing. The caller holds errstate(over="ignore").
+
+    sig turns from the margins into sigmoid(-m) = 1 / (1 + exp(m)) in place:
+    an exp overflow gives 1 / inf = 0, exact to well below double precision.
+    """
+    np.dot(model._yx, theta, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    np.dot(model._wyx_t, sig, out=out)
+    return np.subtract(out, theta, out=out)
 
 
 def fit_map(model: WeightedBLRModel) -> tuple[np.ndarray, np.ndarray]:
@@ -230,17 +254,30 @@ _SETTINGS = tuple(f.name for f in fields(PosteriorSamples) if f.name != "draws")
 
 
 def _leapfrog(model, theta, grad, p, eps, n_steps):
-    """n_steps >= 1 leapfrog steps; only the last one evaluates the value."""
+    """n_steps >= 1 leapfrog steps under one errstate.
+
+    The n_steps - 1 interior steps take the gradient from `_gradient` in
+    one n-buffer and one f-buffer allocated per call, and move theta and
+    p in place. Only the last step calls log_posterior, for the value.
+
+    Returns:
+        (theta, logp, grad, hamiltonian) at the end; an overflowing
+        trajectory gives a non-finite hamiltonian, never a warning.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         theta = theta.copy()
         p = p + 0.5 * eps * grad
-        for _ in range(n_steps - 1):
-            theta += eps * p
-            p += eps * log_posterior(model, theta, value=False)
+        if n_steps > 1:
+            sig, step = np.empty(model.n), np.empty(model.f)
+            for _ in range(n_steps - 1):
+                theta += eps * p
+                p += eps * _gradient(model, theta, sig, step)
+            # Free the buffer before log_posterior allocates its own.
+            del sig
         theta += eps * p
         logp, grad = log_posterior(model, theta)
         p += 0.5 * eps * grad
-    return theta, p, logp, grad
+        return theta, logp, grad, -logp + 0.5 * float(p @ p)
 
 
 def _find_initial_step(model, theta, logp, grad, rng):
@@ -250,9 +287,7 @@ def _find_initial_step(model, theta, logp, grad, rng):
     h0 = -logp + 0.5 * float(p @ p)
 
     def energy_drop(eps):
-        t1, p1, logp1, _ = _leapfrog(model, theta, grad, p, eps, 1)
-        h1 = -logp1 + 0.5 * float(p1 @ p1)
-        delta = h0 - h1
+        delta = h0 - _leapfrog(model, theta, grad, p, eps, 1)[3]
         return delta if math.isfinite(delta) else -math.inf
 
     delta = energy_drop(eps)
@@ -320,9 +355,7 @@ def hmc_sample(
         n_steps = max(1, int(round(leapfrog_steps * spread)))
         p0 = rng.normal(size=model.f)
         h0 = -logp + 0.5 * float(p0 @ p0)
-        theta1, p1, logp1, grad1 = _leapfrog(model, theta, grad, p0, eps, n_steps)
-        with np.errstate(over="ignore", invalid="ignore"):
-            h1 = -logp1 + 0.5 * float(p1 @ p1)
+        theta1, logp1, grad1, h1 = _leapfrog(model, theta, grad, p0, eps, n_steps)
         delta = h0 - h1 if math.isfinite(h1) else -math.inf
         divergent = not math.isfinite(delta)
         alpha = 0.0 if divergent else min(1.0, math.exp(min(delta, 0.0)))
@@ -388,8 +421,9 @@ def check_sampler_settings(settings: dict) -> None:
         if not (value is None and SAMPLER_DEFAULTS[name] is None
                 or isinstance(value, Integral if count else Real)
                 and not isinstance(value, bool)
-                and (value >= 1 if count else -math.inf < value < math.inf)):
-            kind = "whole number >= 1" if count else "finite number"
+                and (1 <= value <= _MAX_COUNT if count
+                     else -math.inf < value < math.inf)):
+            kind = "whole number in [1, 2**53]" if count else "finite number"
             raise ConfigError(f"sampler setting {name}={value!r} is not a {kind}")
     s = {**SAMPLER_DEFAULTS, **settings}
     n, burn, step = s["total_samples"], s["burn_frac"], s["initial_step_size"]
@@ -411,6 +445,9 @@ def predict_batch(
     Averages sigmoid(theta . x) over the last n_draws retained draws.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != posterior.draws.shape[1]:
+        raise DataError(f"rows have {x.shape[1]} features, "
+                        f"the posterior {posterior.draws.shape[1]}")
     if n_draws < 1:
         raise DataError("n_draws must be at least 1")
     if n_draws > posterior.n_draws:

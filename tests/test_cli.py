@@ -10,6 +10,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flowcoreset
@@ -134,6 +135,7 @@ class TestExitCodes:
         pytest.param({"initial_step_size": 0.0}, id="initial_step_size-0"),
         pytest.param({"total_samples": 1, "burn_frac": 0.9},
                      id="no-retained-draw"),
+        pytest.param({"total_samples": 10**400}, id="total_samples-overflow"),
     ])
     def test_mistyped_sampler_setting_exits_before_any_work(self, tmp_path,
                                                             caplog, hmc):
@@ -276,6 +278,33 @@ class TestExitCodes:
             argv = eval_argv
         assert main(argv) == 2
         assert "data error:" in caplog.text
+        assert "accuracy" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case, message", [
+        pytest.param("std-json", "standardization fitted on 3 features, "
+                     "data has 5", id="std-json"),
+        pytest.param("posterior", "rows have 5 features, the posterior 3",
+                     id="posterior"),
+    ])
+    def test_eval_width_mismatch_exits_two(self, workspace, full_posterior,
+                                           tmp_path, capsys, caplog, case,
+                                           message):
+        """A .std.json or posterior narrower than the test CSV's 5 features
+        is a data error that names both widths."""
+        _, _, _, test_csv = workspace
+        stem = tmp_path / "post"
+        for suffix in (".npy", ".json", ".std.json"):
+            shutil.copy(full_posterior.with_suffix(suffix),
+                        stem.with_suffix(suffix))
+        if case == "std-json":
+            stem.with_suffix(".std.json").write_text(
+                json.dumps({"mean": [0.0] * 3, "scale": [1.0] * 3}))
+        else:
+            npy = stem.with_suffix(".npy")
+            np.save(npy, np.load(npy)[:, :3])
+        code = main(["eval", "--posterior", str(stem), "--data", str(test_csv)])
+        assert code == 2
+        assert f"data error: {message}" in caplog.text
         assert "accuracy" not in capsys.readouterr().out
 
 

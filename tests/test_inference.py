@@ -19,6 +19,8 @@ from flowcoreset.errors import ConfigError, DataError, NumericalError
 from flowcoreset.inference import (
     PosteriorSamples,
     WeightedBLRModel,
+    _gradient,
+    _leapfrog,
     accuracy,
     classify,
     fit_map,
@@ -138,14 +140,38 @@ class TestLogPosterior:
             tracemalloc.stop()
         assert peak <= 2.5 * margins.nbytes
 
-    def test_gradient_only_call_matches_full_call(self):
+    def test_lean_gradient_matches_full_call(self):
+        """The leapfrog's interior gradient, sigmoid(-m) = 1 / (1 + exp(m)),
+        matches log_posterior's two-tail one to 1e-12 relative to the size
+        of its terms: on random models, on margins swept to +-800 (exp(m)
+        overflows past 709.8), with zero weights, weights up to 1e6, and
+        no rows."""
         rng = np.random.default_rng(13)
-        for _ in range(50):
-            model = random_model(rng)
-            theta = rng.normal(scale=3.0, size=model.f)
-            _, grad = log_posterior(model, theta)
-            np.testing.assert_array_equal(
-                log_posterior(model, theta, value=False), grad)
+        models = []
+        for k in range(50):
+            model = random_model(rng, integer_weights=k % 2 == 0)
+            models.append((model, rng.normal(scale=3.0, size=model.f)))
+        sweep = np.linspace(-800.0, 800.0, 1601)
+        x = np.column_stack([sweep, rng.normal(size=sweep.size)])
+        y = rng.choice([-1.0, 1.0], size=sweep.size)
+        for w in (np.ones(sweep.size), np.zeros(sweep.size),
+                  rng.uniform(0.0, 1e6, size=sweep.size),
+                  np.where(rng.uniform(size=sweep.size) < 0.5, 0.0, 1e6)):
+            # theta = (1, 0) puts the swept margins exactly on y * sweep.
+            models.append((WeightedBLRModel(x, y, w), np.array([1.0, 0.0])))
+            models.append((WeightedBLRModel(x, y, w), np.array([1.0, 1e-3])))
+        models.append((WeightedBLRModel(np.empty((0, 3)), np.empty(0)),
+                       np.array([1.0, -2.0, 0.5])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model, theta in models:
+                _, grad = log_posterior(model, theta)
+                with np.errstate(over="ignore"):
+                    lean = _gradient(model, theta, np.empty(model.n),
+                                     np.empty(model.f))
+                terms = np.abs(model._wyx_t) @ sigmoid(-(model._yx @ theta))
+                np.testing.assert_array_less(
+                    np.abs(lean - grad), 1e-12 * (terms + np.abs(theta)) + 1e-300)
 
     def test_non_finite_theta_reports_minus_infinity(self):
         model = WeightedBLRModel(np.array([[1.0]]), np.array([1.0]))
@@ -321,6 +347,38 @@ class TestHmc:
             )
         assert err.value.diagnostics["recent_divergent"] > 50
 
+    @pytest.mark.parametrize("magnitude", [1e200, 1e300])
+    def test_overflowing_design_warns_nothing(self, magnitude):
+        """Trajectories on a hugely scaled design overflow; the chain counts
+        them as divergences or ends in NumericalError, and never warns."""
+        data = generate_synthetic(40, 40, f=3, separation=2.0, rng_seed=4)
+        model = WeightedBLRModel(data.x * magnitude, data.y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                posterior = hmc_sample(model, total_samples=300, rng_seed=5)
+            except NumericalError:
+                return
+        assert posterior.n_divergent > 0
+
+    def test_leapfrog_allocates_no_n_vector_per_step(self):
+        """A 20-step trajectory at n = 10 000 peaks below four n-vectors:
+        one buffer serves every interior step, and log_posterior holds
+        three at the last. Per-step temporaries peak at five."""
+        rng = np.random.default_rng(8)
+        n, f = 10_000, 20
+        model = WeightedBLRModel(rng.normal(size=(n, f)),
+                                 rng.choice([-1.0, 1.0], size=n))
+        theta = rng.normal(scale=0.1, size=f)
+        _, grad = log_posterior(model, theta)
+        tracemalloc.start()
+        try:
+            _leapfrog(model, theta, grad, rng.normal(size=f), 1e-3, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * 8
+
     def test_huge_weights_sample_their_own_posterior(self):
         """A weight of 2e6 is sampled as given: the chain sits at fit_map's
         mode of the same model, not at that of a tempered one."""
@@ -375,6 +433,10 @@ class TestHmc:
             {"initial_step_size": 0.0}, {"initial_step_size": math.inf},
             {"total_samples": 1, "burn_frac": 0.9}, {"thin": 2.0},
             {"burn_frac": math.nan}, {"jitter": True},
+            # Counts a float cannot hold exactly, as the sampler's
+            # arithmetic on them needs.
+            {"total_samples": 10**400}, {"thin": 2**53 + 1},
+            {"leapfrog_steps": 10**400},
         ):
             with pytest.raises(ConfigError):
                 hmc_sample(model, **settings)
