@@ -23,7 +23,7 @@ subsampler provides the baseline both are measured against.
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -171,27 +171,21 @@ def _finish(
 ):
     """Prune zero weights, measure reconstruction error, assemble Coreset."""
     support = np.flatnonzero(weights_on_candidates > 0.0)
-    rows = candidates[support]
-    weights = weights_on_candidates[support]
-    total = embedding.total_vector
-    total_norm = float(np.linalg.norm(total))
-    approx = weights @ embedding.vectors[rows]
-    residual = float(np.linalg.norm(total - approx))
-    diag = CoresetDiagnostics(
+    built = Coreset(
+        batch_ids=(batch_id,) * support.shape[0],
+        row_indices=candidates[support],
+        weights=weights_on_candidates[support],
+    )
+    residual, relative_error = reconstruction_residual(built, embedding)
+    return replace(built, construction=CoresetDiagnostics(
         method=method,
         iterations_run=iterations,
         residual_norm=residual,
-        relative_error=residual / total_norm,
+        relative_error=relative_error,
         alignment_trace=trace,
         wall_clock_seconds=time.perf_counter() - started,
         early_stop=early_stop,
-    )
-    return Coreset(
-        batch_ids=(batch_id,) * rows.shape[0],
-        row_indices=rows,
-        weights=weights,
-        construction=diag,
-    )
+    ))
 
 
 def giga_construct(

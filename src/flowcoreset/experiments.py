@@ -310,13 +310,17 @@ STREAM_COLUMNS = (
 )
 
 
-def _format_cell(value, kind: str) -> str:
+def _format_cell(value, kind: str = "str") -> str:
+    """One CSV cell; report tables pass no kind, so floats go by repr and
+    lists as JSON."""
     if value is None:
         return ""
-    if kind == "float":
-        return repr(float(value))
     if kind == "int":
         return str(int(value))
+    if kind == "float" or isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, list):
+        return json.dumps(value)
     return str(value)
 
 
@@ -348,8 +352,17 @@ def read_rows(path: Path, columns) -> list[dict]:
                    if name not in (reader.fieldnames or ())]
         if missing:
             raise DataError(f"{path}: results header lacks {missing}")
-        return [{name: _parse_cell(row[name], kind) for name, kind in columns}
-                for row in reader]
+        rows = []
+        for row in reader:
+            rows.append({})
+            for name, kind in columns:
+                try:
+                    rows[-1][name] = _parse_cell(row[name], kind)
+                except ValueError:
+                    raise DataError(f"{path}: line {reader.line_num}, column "
+                                    f"{name}: {row[name]!r} is not {kind}"
+                                    ) from None
+        return rows
 
 
 def _environment() -> dict:
@@ -379,8 +392,12 @@ class _PreparedDataset:
     train_std: Dataset
     test_std: Dataset
     minority_label: float
-    train_bytes: int
-    coresets: dict  # condition name -> (Coreset, storage_bytes, reduce_seconds)
+    coresets: dict  # condition name -> (Coreset, its CORESET_FIELDS)
+
+
+# What a coreset condition's results row carries beyond the trial itself.
+CORESET_FIELDS = ("entries", "minority_entries", "storage_bytes", "full_bytes",
+                  "reduce_seconds", "residual_norm", "relative_error")
 
 
 def _dataset_pair(config: ExperimentConfig,
@@ -455,11 +472,11 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
     test_std = apply_standardization(test, params)
 
     train_text = dataset_csv_text(train)
-    train_bytes = len(train_text.encode())
+    full_bytes = len(train_text.encode())
     if out is not None:
         _save_splits(config, index, train, test, dropped, train_text, out)
 
-    coresets: dict[str, tuple[Coreset, int, float]] = {}
+    coresets: dict[str, tuple[Coreset, dict]] = {}
 
     def store(name: str, built: Coreset, shared_seconds: float = 0.0) -> None:
         # What retraining from the condensed form needs: entry list with
@@ -479,9 +496,17 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
                          text=rows_text,
                          provenance={"role": "coreset_rows",
                                      "dataset": index, "name": name})
-        coresets[name] = (
-            built, storage,
-            shared_seconds + built.construction.wall_clock_seconds)
+        diag = built.construction
+        coresets[name] = (built, {
+            "entries": built.size,
+            "minority_entries": int(np.sum(
+                train.y[built.row_indices] == minority_label)),
+            "storage_bytes": storage,
+            "full_bytes": full_bytes,
+            "reduce_seconds": shared_seconds + diag.wall_clock_seconds,
+            "residual_norm": diag.residual_norm,
+            "relative_error": diag.relative_error,
+        })
 
     for m, giga in zip(config.budgets, gigas):
         store(f"giga_m{m}", giga, frame_seconds)
@@ -492,8 +517,7 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
 
     return _PreparedDataset(
         index=index, train=train, train_std=train_std,
-        test_std=test_std, minority_label=minority_label,
-        train_bytes=train_bytes, coresets=coresets)
+        test_std=test_std, minority_label=minority_label, coresets=coresets)
 
 
 def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
@@ -518,11 +542,11 @@ def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
         else:
             # blr_random -> "random", blr_coreset_m<m> -> "m<m>" (giga_m<m>).
             tag = condition.removeprefix("blr_").removeprefix("coreset_")
-            built, storage, seconds = prepared.coresets[
+            built, fields = prepared.coresets[
                 tag if tag == "random" else f"giga_{tag}"]
             model = WeightedBLRModel(
                 *materialize(built, {f"ds{index}": prepared.train_std}))
-            row.update(_coreset_fields(prepared, built, storage, seconds))
+            row.update(fields)
 
         started = time.perf_counter()
         posterior = hmc_sample(
@@ -543,21 +567,6 @@ def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
         row["error"] = f"{type(exc).__name__}: {exc}"
         row["accuracy"] = None
     return row
-
-
-def _coreset_fields(prepared: _PreparedDataset, built: Coreset,
-                    storage: int, reduce_seconds: float) -> dict:
-    rows = built.row_indices
-    minority = int(np.sum(prepared.train.y[rows] == prepared.minority_label))
-    return {
-        "entries": built.size,
-        "minority_entries": minority,
-        "storage_bytes": storage,
-        "full_bytes": prepared.train_bytes,
-        "reduce_seconds": reduce_seconds,
-        "residual_norm": built.construction.residual_norm,
-        "relative_error": built.construction.relative_error,
-    }
 
 
 def offline_conditions(config: ExperimentConfig) -> list[str]:
@@ -585,27 +594,20 @@ def run_offline(config: ExperimentConfig, out_dir: str | Path | None) -> dict:
         rows.extend(_run_trial(config, prepared, condition, rep, out)
                     for rep in range(config.repetitions)
                     for condition in conditions)
-
-    if out is not None:
-        write_rows(out / "results.csv", rows, OFFLINE_COLUMNS)
-        report = _offline_report(read_rows(out / "results.csv",
-                                           OFFLINE_COLUMNS),
-                                 config.to_dict())
-        _write_report(out, report, "report")
-        return report
-    return _offline_report(rows, config.to_dict())
+    report, _ = _finish_run(out, "offline", rows, config.to_dict())
+    return report
 
 
 def _offline_report(rows: list[dict], config_dict: dict) -> dict:
-    """Aggregate trial rows; deviations are over repetitions per dataset."""
+    """The offline report's own fields from its trial rows; deviations are
+    over repetitions per dataset."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault((row["dataset"], row["condition"]), []).append(row)
 
     conditions = []
     by_condition: dict[str, list[float]] = {}
-    for (dataset, condition) in sorted(groups, key=lambda k: (k[0], k[1])):
-        group = groups[(dataset, condition)]
+    for (dataset, condition), group in sorted(groups.items()):
         ok = [r for r in group if not r["error"]]
         accs = [r["accuracy"] for r in ok if r["accuracy"] is not None]
         mean_acc, std_acc = _mean_std(accs)
@@ -623,25 +625,13 @@ def _offline_report(rows: list[dict], config_dict: dict) -> dict:
         }
         sample = next((r for r in ok if r.get("entries") is not None), None)
         if sample is not None:
-            entry["entries"] = sample["entries"]
-            entry["minority_entries"] = sample["minority_entries"]
-            entry["residual_norm"] = sample["residual_norm"]
-            entry["relative_error"] = sample["relative_error"]
-            entry["reduce_seconds"] = sample["reduce_seconds"]
-            entry["storage_bytes"] = sample["storage_bytes"]
-            entry["full_bytes"] = sample["full_bytes"]
+            entry.update({name: sample[name] for name in CORESET_FIELDS})
         conditions.append(entry)
         by_condition.setdefault(condition, []).extend(accs)
 
     grand = {condition: _mean_std(values)[0]
              for condition, values in sorted(by_condition.items())}
-    return {
-        "kind": "offline",
-        "config": config_dict,
-        "environment": _environment(),
-        "conditions": conditions,
-        "grand_mean_accuracy": grand,
-    }
+    return {"conditions": conditions, "grand_mean_accuracy": grand}
 
 
 # --------------------------------------------------------------------------
@@ -740,15 +730,8 @@ def run_stream_experiment(
                                 "repetition": rep, "records": records})
             for record in records:
                 rows.append(_stream_row(record, mode, budget, rep))
-
-    if out is not None:
-        write_rows(out / "stream_results.csv", rows, STREAM_COLUMNS)
-        report = _stream_report(
-            read_rows(out / "stream_results.csv", STREAM_COLUMNS),
-            config.to_dict())
-        _write_report(out, report, "stream_report")
-        return report, arm_records
-    return _stream_report(rows, config.to_dict()), arm_records
+    report, _ = _finish_run(out, "stream", rows, config.to_dict())
+    return report, arm_records
 
 
 def _stream_row(record: StepRecord, mode: str, budget: int | None,
@@ -765,7 +748,12 @@ def _stream_row(record: StepRecord, mode: str, budget: int | None,
     }
 
 
+# Stream columns a report step averages over its repetitions.
+_STEP_MEANS = ("stored_samples", "training_seconds", "reduction_seconds")
+
+
 def _stream_report(rows: list[dict], config_dict: dict) -> dict:
+    """The stream report's own fields from its step rows."""
     groups: dict[tuple, list[dict]] = {}
     failures = []
     for row in rows:
@@ -777,9 +765,8 @@ def _stream_report(rows: list[dict], config_dict: dict) -> dict:
         groups.setdefault((row["mode"], row["budget"]), []).append(row)
 
     arms = []
-    for (mode, budget) in sorted(groups,
-                                 key=lambda k: (k[0], k[1] if k[1] else 0)):
-        group = groups[(mode, budget)]
+    for (mode, budget), group in sorted(
+            groups.items(), key=lambda item: (item[0][0], item[0][1] or 0)):
         steps = []
         for step in sorted({row["step"] for row in group}):
             at = [row for row in group if row["step"] == step]
@@ -789,24 +776,14 @@ def _stream_report(rows: list[dict], config_dict: dict) -> dict:
                 "trials": len(at),
                 "mean_accuracy": mean_acc,
                 "std_accuracy": std_acc,
-                "mean_stored_samples": float(np.mean(
-                    [row["stored_samples"] for row in at])),
-                "mean_training_seconds": float(np.mean(
-                    [row["training_seconds"] for row in at])),
-                "mean_reduction_seconds": float(np.mean(
-                    [row["reduction_seconds"] for row in at])),
+                **{f"mean_{name}": float(np.mean([row[name] for row in at]))
+                   for name in _STEP_MEANS},
             })
         arms.append({"mode": mode, "budget": budget, "steps": steps})
 
     stream_cfg = config_dict.get("stream") or {}
-    return {
-        "kind": "stream",
-        "config": config_dict,
-        "environment": _environment(),
-        "eval_scope": stream_cfg.get("eval_scope", "union"),
-        "arms": arms,
-        "failures": failures,
-    }
+    return {"eval_scope": stream_cfg.get("eval_scope", "union"),
+            "arms": arms, "failures": failures}
 
 
 # --------------------------------------------------------------------------
@@ -837,19 +814,37 @@ def _write_report(out: Path, report: dict, stem: str,
         writer = csv.writer(handle)
         writer.writerow(names)
         for row in table:
-            cells = []
-            for name in names:
-                value = row.get(name)
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, float):
-                    cells.append(repr(value))
-                elif isinstance(value, list):
-                    cells.append(json.dumps(value))
-                else:
-                    cells.append(str(value))
-            writer.writerow(cells)
+            writer.writerow([_format_cell(row.get(name)) for name in names])
     return written
+
+
+# Each grid's results file, its columns, its report builder and report stem.
+_GRIDS = {
+    "offline": ("results.csv", OFFLINE_COLUMNS, _offline_report, "report"),
+    "stream": ("stream_results.csv", STREAM_COLUMNS, _stream_report,
+               "stream_report"),
+}
+
+
+def _finish_run(out: Path | None, kind: str, rows: list[dict] | None,
+                config_dict: dict, fmt: str = "both") -> tuple[dict, list[Path]]:
+    """One grid's report, and the report files written.
+
+    Without a run directory the report comes from the rows in memory. With
+    one, the rows go to the results CSV (rows=None keeps the CSV already
+    there) and the report is built from that file alone, so regenerating it
+    gives the same bytes.
+    """
+    results, columns, build, stem = _GRIDS[kind]
+    if out is not None:
+        if rows is not None:
+            write_rows(out / results, rows, columns)
+        rows = read_rows(out / results, columns)
+    report = {"kind": kind, "config": config_dict,
+              "environment": _environment(), **build(rows, config_dict)}
+    if out is None:
+        return report, []
+    return report, _write_report(out, report, stem, fmt)
 
 
 def regenerate_report(run_dir: str | Path, fmt: str = "both") -> list[Path]:
@@ -861,26 +856,11 @@ def regenerate_report(run_dir: str | Path, fmt: str = "both") -> list[Path]:
     if fmt not in ("csv", "json", "both"):
         raise ConfigError(f"unknown report format {fmt!r}")
     run = Path(run_dir)
-    config_path = run / "config.json"
-    offline_path = run / "results.csv"
-    stream_path = run / "stream_results.csv"
-    if not run.is_dir():
-        raise DataError(f"run directory not found: {run}")
-    missing = [str(p) for p in (config_path,) if not p.exists()]
-    if not offline_path.exists() and not stream_path.exists():
-        missing.extend([f"{offline_path} or {stream_path}"])
-    if missing:
-        raise DataError("missing run artifacts: " + ", ".join(missing))
-    config_dict = load_json(config_path)
-
-    written: list[Path] = []
-    jobs = []
-    if offline_path.exists():
-        jobs.append(("report", _offline_report(
-            read_rows(offline_path, OFFLINE_COLUMNS), config_dict)))
-    if stream_path.exists():
-        jobs.append(("stream_report", _stream_report(
-            read_rows(stream_path, STREAM_COLUMNS), config_dict)))
-    for stem, report in jobs:
-        written.extend(_write_report(run, report, stem, fmt))
-    return written
+    config_dict = load_json(run / "config.json")
+    kinds = [kind for kind, (results, *_) in _GRIDS.items()
+             if (run / results).exists()]
+    if not kinds:
+        raise DataError(f"{run}: no " + " or ".join(
+            results for results, *_ in _GRIDS.values()))
+    return [path for kind in kinds
+            for path in _finish_run(run, kind, None, config_dict, fmt)[1]]

@@ -38,6 +38,10 @@ _DA_KAPPA = 0.75
 # proposals diverge.
 _DIVERGENCE_WINDOW = 100
 
+# The initial step-size search halves no further than this; a posterior
+# that needs a smaller first step leaves the chain where it started.
+_MIN_STEP = 1e-10
+
 # Sampler counts stay within the integers a float holds exactly: the
 # sampler does float arithmetic on them (burn-in, jittered step counts).
 _MAX_COUNT = 2**53
@@ -281,7 +285,12 @@ def _leapfrog(model, theta, grad, p, eps, n_steps):
 
 
 def _find_initial_step(model, theta, logp, grad, rng):
-    """Double or halve until one leapfrog step crosses 50% acceptance."""
+    """Double or halve until one leapfrog step crosses 50% acceptance.
+
+    Raises:
+        NumericalError: the next step would fall below _MIN_STEP; the
+            diagnostics hold the last step tried and its energy change.
+    """
     eps = 1.0
     p = rng.normal(size=theta.shape[0])
     h0 = -logp + 0.5 * float(p @ p)
@@ -296,8 +305,13 @@ def _find_initial_step(model, theta, logp, grad, rng):
         # Loop while exp(delta)^direction > 2^-direction, in log space.
         if not direction * delta > -direction * math.log(2.0):
             break
+        if eps * 2.0**direction < _MIN_STEP:
+            raise NumericalError(
+                f"HMC step-size search fell below {_MIN_STEP:g} without "
+                "reaching 50% acceptance",
+                diagnostics={"step_size": eps, "energy_change": delta})
         eps *= 2.0**direction
-        if eps > 1e7 or eps < 1e-10:
+        if eps > 1e7:
             break
         delta = energy_drop(eps)
     return eps
@@ -325,7 +339,8 @@ def hmc_sample(
     Raises:
         ConfigError: a setting that check_sampler_settings refuses.
         NumericalError: more than half of a recent window of proposals
-            diverged (non-finite Hamiltonian).
+            diverged (non-finite Hamiltonian), or the initial step-size
+            search fell below 1e-10.
     """
     check_sampler_settings({k: v for k, v in locals().items() if k in SAMPLER_DEFAULTS})
 

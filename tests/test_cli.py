@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main(argv) in-process."""
 
+import csv
 import importlib
 import json
 import logging
@@ -196,6 +197,29 @@ class TestExitCodes:
 
     def test_report_on_empty_directory_exits_two(self, tmp_path):
         assert main(["report", "--run", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("column,cell", [("accuracy", "abc"),
+                                             ("n_divergent", "1.5")])
+    def test_damaged_results_cell_exits_two(self, tmp_path, capsys, caplog,
+                                            column, cell):
+        """A results cell that does not read as its column's kind is a data
+        error that names the file, the line and the column."""
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "config.json").write_text(json.dumps(TINY))
+        names = [name for name, _ in OFFLINE_COLUMNS]
+        good = {"dataset": "0", "condition": "blr_full", "repetition": "0",
+                "accuracy": "0.9", "n_divergent": "0"}
+        bad = {**good, "repetition": "1", column: cell}
+        with (run / "results.csv").open("w", newline="") as handle:
+            csv.writer(handle).writerows(
+                [names] + [[row.get(name, "") for name in names]
+                           for row in (good, bad)])
+        assert main(["report", "--run", str(run)]) == 2
+        assert (f"data error: {run / 'results.csv'}: line 3, column {column}"
+                in caplog.text)
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not (run / "report.json").exists()
 
     @pytest.mark.parametrize("command,flag", [
         ("coreset", "--budget"), ("coreset", "--d"), ("eval", "--draws"),

@@ -330,6 +330,27 @@ class TestStreamExperiment:
             run_stream_experiment(tiny_config(), tmp_path / "nostream")
 
 
+class TestReportPaths:
+    """A report built from the rows in memory equals the one built from the
+    results CSV a run directory gets."""
+
+    def test_offline_report_without_a_run_directory(self, offline_run):
+        _, on_disk = offline_run
+        in_memory = run_offline(tiny_config(), None)
+        assert strip_seconds(in_memory) == strip_seconds(on_disk)
+
+    def test_stream_report_without_a_run_directory(self, tmp_path):
+        modes = ["pool_full", "coreset_aggregate", "random_aggregate"]
+        config = tiny_config(
+            budgets=[20],
+            stream={"modes": modes, "n_batches": 2, "batch_pos": 15,
+                    "batch_neg": 75, "test_pos": 25, "test_neg": 25})
+        on_disk, _ = run_stream_experiment(config, tmp_path / "run")
+        in_memory, _ = run_stream_experiment(config, None)
+        assert {arm["mode"] for arm in on_disk["arms"]} == set(modes)
+        assert strip_seconds(in_memory) == strip_seconds(on_disk)
+
+
 class TestRegenerate:
     def test_empty_run_dir_lists_missing_artifacts(self, tmp_path):
         with pytest.raises(DataError) as err:

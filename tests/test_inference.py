@@ -361,6 +361,24 @@ class TestHmc:
                 return
         assert posterior.n_divergent > 0
 
+    @pytest.mark.parametrize("magnitude", [1e50, 1e100, 1e150])
+    def test_step_search_below_its_floor_raises(self, magnitude):
+        """No step of 1e-10 or more is accepted on these designs; the chain
+        would never move, so the sampler refuses instead of returning it."""
+        data = generate_synthetic(40, 40, f=3, separation=2.0, rng_seed=4)
+        model = WeightedBLRModel(data.x * magnitude, data.y)
+        with pytest.raises(NumericalError, match="step-size search") as err:
+            hmc_sample(model, total_samples=300, rng_seed=5)
+        assert err.value.diagnostics["step_size"] >= 1e-10
+        assert err.value.diagnostics["energy_change"] < math.log(0.5)
+
+    def test_small_step_above_the_floor_still_samples(self):
+        data = generate_synthetic(40, 40, f=3, separation=2.0, rng_seed=4)
+        model = WeightedBLRModel(data.x * 1e8, data.y)
+        posterior = hmc_sample(model, total_samples=300, rng_seed=5)
+        assert posterior.step_size < 1e-8
+        assert posterior.acceptance_rate > 0.5
+
     def test_leapfrog_allocates_no_n_vector_per_step(self):
         """A 20-step trajectory at n = 10 000 peaks below four n-vectors:
         one buffer serves every interior step, and log_posterior holds
