@@ -164,7 +164,6 @@ class ExperimentConfig:
     weighting: str = WEIGHTING_LAPLACE
     hmc: dict = field(default_factory=dict)
     predict_draws: int = 1000
-    svm_epochs: int = 5
     svm_reg: float = 1e-3
     repetitions: int = 1
     rng_seed: int = 0
@@ -184,7 +183,6 @@ class ExperimentConfig:
                  f"unknown weighting {self.weighting!r}")
         check_sampler_settings(self.hmc)
         _require_count(self.predict_draws, "predict_draws")
-        _require_count(self.svm_epochs, "svm epochs")
         _require(isinstance(self.svm_reg, Real)
                  and not isinstance(self.svm_reg, bool) and self.svm_reg > 0.0,
                  f"svm reg must be a positive number, got {self.svm_reg!r}")
@@ -211,7 +209,7 @@ class ExperimentConfig:
         out = asdict(self)
         kind = "synthetic" if isinstance(self.source, SyntheticSpec) else "csv"
         out["source"] = {"kind": kind, **out["source"]}
-        out["svm"] = {"epochs": out.pop("svm_epochs"), "reg": out.pop("svm_reg")}
+        out["svm"] = {"reg": out.pop("svm_reg")}
         return out
 
     @classmethod
@@ -259,21 +257,22 @@ class ExperimentConfig:
             settings["budgets"] = tuple(settings["budgets"])
         settings["hmc"] = dict(raw.get("hmc") or {})
         svm = raw.get("svm") or {}
-        unknown = set(svm) - set(_SVM_KEYS)
+        unknown = set(svm) - {"epochs", "reg"}
         _require(not unknown, f"unknown svm settings: {sorted(unknown)}")
-        settings.update({f"svm_{key}": value for key, value in svm.items()})
+        _require_count(svm.get("epochs", 1), "svm epochs")
+        settings.update({f"svm_{key}": svm[key] for key in svm if key != "epochs"})
         return cls(source=source, stream=stream, **settings)
 
 
 # Top-level config keys that set one field each. Values pass as JSON gives
 # them (budgets as a tuple, a null hmc as no settings) and the dataclass
 # checks their types, so each default and each check lives there alone.
-# "parallelism" is retired; older configs and run directories still carry
-# it, so it is accepted and ignored.
+# "parallelism" and "svm.epochs" are retired; older configs and run
+# directories still carry them, so they are accepted and ignored (epochs
+# still only as a whole number >= 1).
 _FIELD_KEYS = ("embedding_dim", "budgets", "random_size", "weighting", "hmc",
                "predict_draws", "repetitions", "rng_seed", "persist_posteriors")
 _SECTION_KEYS = ("source", "svm", "stream", "parallelism")
-_SVM_KEYS = ("epochs", "reg")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -522,16 +521,13 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
 
 def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
                condition: str, rep: int, out: Path | None) -> dict:
-    root = config.rng_seed
     index = prepared.index
     row: dict = {"dataset": index, "condition": condition, "repetition": rep,
                  "error": ""}
     try:
         if condition == "svm":
             started = time.perf_counter()
-            theta = svm_train(prepared.train_std, epochs=config.svm_epochs,
-                              reg=config.svm_reg,
-                              rng_seed=derive_seed(root, "svm", index, rep))
+            theta = svm_train(prepared.train_std, reg=config.svm_reg)
             row["train_seconds"] = time.perf_counter() - started
             row["accuracy"] = svm_accuracy(theta, prepared.test_std)
             return row
@@ -550,7 +546,7 @@ def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
 
         started = time.perf_counter()
         posterior = hmc_sample(
-            model, rng_seed=derive_seed(root, "hmc", index, tag, rep),
+            model, rng_seed=derive_seed(config.rng_seed, "hmc", index, tag, rep),
             **config.hmc)
         row["train_seconds"] = time.perf_counter() - started
         draws = min(config.predict_draws, posterior.n_draws)

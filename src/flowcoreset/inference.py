@@ -8,8 +8,9 @@ The model is slope-only logistic regression with a standard normal prior:
 Integer weights replicate samples exactly, which is what lets a small
 weighted subset stand in for the full dataset during inference. Sampling
 is plain Hamiltonian Monte Carlo with dual-averaging step size adaptation
-during burn-in. A Pegasos-style linear SVM provides a non-Bayesian
-reference point.
+during burn-in. A linear SVM, the exact minimiser of the L2-regularized
+squared hinge found by Newton's method in the primal, provides a
+deterministic non-Bayesian reference point.
 """
 
 import json
@@ -28,6 +29,8 @@ from .errors import ConfigError, DataError, NumericalError
 # row's margin by about 1, so a weight of 1e29 takes ~70 steps.
 _MAP_MAX_ITER = 200
 _MAP_MAX_HALVINGS = 60
+# SVM fit limit on evaluations of its objective, halved steps included.
+_SVM_MAX_EVALS = 200
 
 # Dual averaging constants.
 _DA_GAMMA = 0.05
@@ -485,55 +488,54 @@ def accuracy(
     return float(np.mean(classify(probs) == data.y))
 
 
-def svm_train(
-    data: Dataset, epochs: int = 5, reg: float = 1e-3, rng_seed: int = 0
-) -> np.ndarray:
-    """Train a slope-only linear SVM with the Pegasos update.
+def svm_train(data: Dataset, reg: float = 1e-3) -> np.ndarray:
+    """Slope-only linear SVM theta, predicting sign(theta . x): the exact minimiser
+    of J(theta) = reg/2 ||theta||^2 + (1/n) sum_i max(0, 1 - y_i theta . x_i)^2.
 
-    One step per draw: pick a sample uniformly, shrink theta by the
-    regularizer, add the hinge subgradient when the margin is violated,
-    then project onto the ball of radius 1/sqrt(reg).
+    Newton's method in the primal (Chapelle, Neural Computation 2007): on the
+    rows sv that violate the margin, J is the quadratic minimised where
+    H theta = (2/n) X_sv^T y_sv, H = reg I + (2/n) X_sv^T X_sv. Each step
+    moves there, halved while J rises. The fit stops once a whole step keeps
+    sv, or a step leaves J unchanged. It is deterministic.
 
-    Returns:
-        theta of shape (f,); predict with sign(theta . x).
+    Raises:
+        DataError: an empty dataset or a reg that is not positive.
+        NumericalError: J, its gradient or H turned non-finite, or J was
+            evaluated _SVM_MAX_EVALS times; diagnostics give the Newton steps
+            taken and the largest gradient entry.
     """
     if data.n < 1:
         raise DataError("cannot train on an empty dataset")
-    if epochs < 1:
-        raise DataError("epochs must be at least 1")
     if reg <= 0:
         raise DataError("reg must be positive")
-    rng = np.random.default_rng(rng_seed)
-    theta = np.zeros(data.f)
-    radius = 1.0 / math.sqrt(reg)
-    # ||theta||^2 is carried as a scalar, updated from the shrink factor,
-    # the margin's dot product and the row's squared norm. Near the ball's
-    # surface it is recomputed, so the projection scales by the exact norm.
-    theta_sq = 0.0
-    near_surface = radius * radius * (1.0 - 1e-9)
-    rows = list(data.x)
-    labels = data.y.tolist()
-    row_sq = np.einsum("ij,ij->i", data.x, data.x).tolist()
-    t = 0
-    for _ in range(epochs):
-        for i in rng.integers(0, data.n, size=data.n).tolist():
-            t += 1
-            eta = 1.0 / (reg * t)
-            dot = float(theta @ rows[i])
-            shrink = 1.0 - eta * reg
-            theta *= shrink
-            theta_sq *= shrink * shrink
-            if labels[i] * dot < 1.0:
-                step = eta * labels[i]
-                theta += step * rows[i]
-                theta_sq += step * (2.0 * shrink * dot + step * row_sq[i])
-            if theta_sq > near_surface:
-                theta_sq = float(theta @ theta)
-                norm = math.sqrt(theta_sq)
-                if norm > radius:
-                    theta *= radius / norm
-                    theta_sq = radius * radius
-    return theta
+    x, y, scale = data.x, data.y, 2.0 / data.n
+    theta, step = np.zeros(data.f), np.zeros(data.f)
+    value, sv, steps, whole = math.inf, None, 0, True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_SVM_MAX_EVALS):
+            trial = theta + step
+            hinge = np.maximum(1.0 - y * (x @ trial), 0.0)
+            trial_value = 0.5 * reg * (trial @ trial) + (hinge @ hinge) / data.n
+            if trial_value > value:
+                step, whole = step * 0.5, False
+                continue
+            # A whole step that keeps the violating set lands on J's minimiser.
+            if whole and np.array_equal(hinge > 0.0, sv) or trial_value == value:
+                return trial
+            theta, value, sv = trial, trial_value, hinge > 0.0
+            x_sv = x[sv]
+            grad = reg * theta - scale * (x_sv.T @ (y[sv] * hinge[sv]))
+            hess = scale * (x_sv.T @ x_sv) + reg * np.eye(data.f)
+            diag = {"steps": steps, "grad_max": float(np.abs(grad).max(initial=0.0))}
+            if not (math.isfinite(value) and math.isfinite(diag["grad_max"])
+                    and np.isfinite(hess).all()):
+                raise NumericalError("SVM fit turned non-finite", diag)
+            # H's eigenvalues are at least reg; any that rounding lowers are raised.
+            eigvals, eigvecs = np.linalg.eigh(hess)
+            rhs = eigvecs.T @ (scale * (x_sv.T @ y[sv]))
+            step = eigvecs @ (rhs / np.maximum(eigvals, reg)) - theta
+            steps, whole = steps + 1, True
+    raise NumericalError("SVM fit did not converge", diag)
 
 
 def svm_predict(theta: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -70,6 +70,12 @@ class TestConfig:
         assert config == tiny_config()
         assert "parallelism" not in config.to_dict()
 
+    def test_retired_svm_epochs_key_is_accepted_and_dropped(self):
+        config = tiny_config(svm={"epochs": 3, "reg": 0.001})
+        assert config == tiny_config(svm={"reg": 0.001})
+        assert config.to_dict()["svm"] == {"reg": 0.001}
+        assert not hasattr(config, "svm_epochs")
+
     def test_rejects_unknown_top_level_keys(self):
         with pytest.raises(ConfigError):
             tiny_config(coresets="lots")
@@ -130,6 +136,7 @@ class TestConfig:
         {"stream": {"modes": ["pool_full"], "n_batches": 2.5,
                     "batch_pos": 1, "batch_neg": 1,
                     "test_pos": 1, "test_neg": 1}},
+        {"svm": {"epochs": 0}},
     ])
     def test_malformed_values_are_config_errors(self, override):
         with pytest.raises(ConfigError):

@@ -7,6 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from flowcoreset.data import (
     Dataset,
@@ -520,23 +521,90 @@ class TestEndToEnd:
         assert 0.35 < accuracy(posterior, test, n_draws=250) < 0.65
 
 
+def squared_hinge(theta, data, reg):
+    """The SVM objective J and its gradient, written out apart from svm_train."""
+    slack = np.maximum(0.0, 1.0 - data.y * (data.x @ theta))
+    value = 0.5 * reg * float(theta @ theta) + float(slack @ slack) / data.n
+    grad = reg * theta - (2.0 / data.n) * (data.x.T @ (data.y * slack))
+    return value, grad
+
+
+SVM_CASES = [
+    # (n_pos, n_neg, f, separation, reg, rng_seed)
+    (50, 50, 5, 2.0, 1e-2, 0),
+    (80, 800, 20, 4.0, 1e-2, 1),
+    (300, 300, 4, 0.0, 1e-3, 2),
+    (40, 40, 3, 2.0, 1e-2, 4),
+    (15, 200, 8, 6.0, 1e-3, 5),
+]
+
+
 class TestSvm:
-    def test_deterministic_given_seed(self):
+    def test_two_calls_are_byte_identical(self):
         data = generate_synthetic(50, 50, f=5, separation=2.0, rng_seed=0)
-        a = svm_train(data, epochs=3, reg=1e-2, rng_seed=4)
-        b = svm_train(data, epochs=3, reg=1e-2, rng_seed=4)
-        np.testing.assert_array_equal(a, b)
+        a = svm_train(data, reg=1e-2)
+        b = svm_train(data, reg=1e-2)
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n_pos, n_neg, f, separation, reg, seed", SVM_CASES)
+    def test_matches_an_independent_minimiser(self, n_pos, n_neg, f,
+                                              separation, reg, seed):
+        data = generate_synthetic(n_pos, n_neg, f, separation, seed)
+        theta = svm_train(data, reg=reg)
+        reference = minimize(squared_hinge, np.zeros(f), args=(data, reg),
+                             jac=True, method="L-BFGS-B",
+                             options={"gtol": 1e-12, "ftol": 1e-16,
+                                      "maxiter": 10000})
+        assert (np.linalg.norm(theta - reference.x)
+                <= 1e-6 * np.linalg.norm(reference.x))
+
+    @pytest.mark.parametrize("n_pos, n_neg, f, separation, reg, seed", SVM_CASES)
+    def test_gradient_vanishes_at_the_fit(self, n_pos, n_neg, f, separation,
+                                          reg, seed):
+        data = generate_synthetic(n_pos, n_neg, f, separation, seed)
+        grad = squared_hinge(svm_train(data, reg=reg), data, reg)[1]
+        assert np.max(np.abs(grad)) <= 1e-9 * max(1, data.n)
 
     def test_well_separated_data_classifies_above_95(self):
         train, test = separated_pool(400, 40, f=10, separation=6.0, rng_seed=31)
-        theta = svm_train(train, epochs=10, reg=1e-3, rng_seed=33)
+        theta = svm_train(train, reg=1e-3)
         assert svm_accuracy(theta, test) > 0.95
 
     def test_zero_separation_is_chance_level(self):
         train = generate_synthetic(300, 300, f=4, separation=0.0, rng_seed=34)
         test = generate_synthetic(200, 200, f=4, separation=0.0, rng_seed=35)
-        theta = svm_train(train, epochs=5, reg=1e-3, rng_seed=36)
+        theta = svm_train(train, reg=1e-3)
         assert 0.35 < svm_accuracy(theta, test) < 0.65
+
+    def test_constant_column_fits(self):
+        """Standardization leaves a constant column at 0; its slope is 0."""
+        data = generate_synthetic(40, 200, f=4, separation=2.0, rng_seed=7)
+        x = data.x.copy()
+        x[:, 2] = 3.0
+        raw = Dataset(x, data.y)
+        train = apply_standardization(raw, fit_standardization(raw))
+        assert np.all(train.x[:, 2] == 0.0)
+        theta = svm_train(train, reg=1e-2)
+        assert np.all(np.isfinite(theta)) and theta[2] == 0.0
+
+    @pytest.mark.parametrize("magnitude", [1e160, 1e200, 1e300])
+    def test_overflowing_design_raises(self, magnitude):
+        """A design whose Gram matrix overflows is refused, never fitted to
+        theta = 0 at chance level behind an overflow warning."""
+        data = generate_synthetic(40, 40, 3, 2.0, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as info:
+                svm_train(Dataset(data.x * magnitude, data.y), reg=0.01)
+        assert set(info.value.diagnostics) == {"steps", "grad_max"}
+
+    def test_large_finite_design_fits(self):
+        data = generate_synthetic(40, 40, 3, 2.0, 4)
+        scaled = Dataset(data.x * 1e100, data.y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta = svm_train(scaled, reg=0.01)
+        assert np.all(np.isfinite(theta)) and svm_accuracy(theta, scaled) > 0.8
 
     def test_slope_only_scores_flip_with_input(self):
         theta = np.array([1.0, -2.0])
@@ -545,8 +613,6 @@ class TestSvm:
 
     def test_bad_arguments_raise(self):
         data = generate_synthetic(5, 5, f=2, separation=1.0, rng_seed=0)
-        with pytest.raises(DataError):
-            svm_train(data, epochs=0)
         with pytest.raises(DataError):
             svm_train(data, reg=0.0)
 
