@@ -10,11 +10,13 @@ walks on the unit sphere: it keeps a unit iterate y, picks the candidate
 direction best aligned with the residual of the normalized target, and
 takes a closed-form step that maximizes post-step alignment. Repeat picks
 merge into one entry, which is why entry counts stay well under the
-iteration budget. It costs one n x d product for the target alignments and
-one per distinct pick, for that row's Gram column; the embedding memoises
-them, up to d columns, so repeat picks and later budgets on the same
-embedding reuse them. A later budget's wall_clock_seconds therefore counts
-only the columns earlier calls did not compute.
+iteration budget. It costs one pass over the n x d embedding for the
+target alignments, a block of rows at a time, and one per distinct pick,
+for that row's Gram column; the embedding memoises them, up to d columns,
+so repeat picks reuse them. It memoises the walk as well: a later call with
+a larger budget on the same embedding resumes it, so ascending budgets
+cost one walk and a later budget's wall_clock_seconds counts only its
+extra iterations.
 
 The Frank-Wolfe one minimizes the reconstruction error over a scaled
 simplex whose vertices are single-sample solutions. A uniform random
@@ -22,6 +24,7 @@ subsampler provides the baseline both are measured against.
 """
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -35,7 +38,12 @@ from .data import (
     fit_standardization,
     load_json,
 )
-from .embed import LikelihoodEmbedding, build_projection_basis, embed_log_likelihoods
+from .embed import (
+    _BLOCK_ROWS,
+    LikelihoodEmbedding,
+    build_projection_basis,
+    embed_log_likelihoods,
+)
 from .errors import DataError, NumericalError
 
 # Degenerate denominators and residuals below this end construction early.
@@ -141,7 +149,7 @@ def geodesic_step_size(zeta0: float, zeta1: float, zeta2: float) -> float:
             "degenerate geodesic step",
             diagnostics={"zeta0": zeta0, "zeta1": zeta1, "zeta2": zeta2},
         )
-    return float(np.clip((zeta1 - zeta0 * zeta2) / denom, 0.0, 1.0))
+    return min(max((zeta1 - zeta0 * zeta2) / denom, 0.0), 1.0)
 
 
 def _embedding_geometry(embedding: LikelihoodEmbedding):
@@ -158,10 +166,10 @@ def _embedding_geometry(embedding: LikelihoodEmbedding):
     return candidates, sigma, total_norm, ell
 
 
-def _directions(embedding: LikelihoodEmbedding, candidates: np.ndarray) -> np.ndarray:
-    """Unit candidate directions, an n x d copy divided in place."""
-    dirs = embedding.vectors[candidates]
-    dirs /= embedding.norms[candidates, None]
+def _directions(embedding: LikelihoodEmbedding, rows: np.ndarray) -> np.ndarray:
+    """Unit directions of the given rows, a copy divided in place."""
+    dirs = embedding.vectors[rows]
+    dirs /= embedding.norms[rows, None]
     return dirs
 
 
@@ -207,6 +215,12 @@ def giga_construct(
     fixed; the second follows y's own update through the picked row's Gram
     column <d_., d_n>. Both are memoised on the embedding, the columns up to
     d of them, and reused by repeat picks and later calls.
+
+    The walk's state is memoised too. A call whose budget is at least the
+    iterations the last call ran resumes from where that call stopped, so
+    ascending budgets cost one walk and each later coreset's
+    wall_clock_seconds counts only its extra iterations. A smaller budget
+    starts over. Either way the coreset equals a cold call's bit for bit.
     """
     if m < 1:
         raise DataError("iteration budget m must be at least 1")
@@ -214,22 +228,29 @@ def giga_construct(
     candidates, sigma, total_norm, ell = _embedding_geometry(embedding)
     memo = embedding.giga_memo
     if not memo:
-        memo["base"] = _directions(embedding, candidates) @ ell
+        # Block by block, so no n x d copy of the unit directions exists.
+        memo["base"] = np.concatenate([
+            _directions(embedding, candidates[i:i + _BLOCK_ROWS]) @ ell
+            for i in range(0, candidates.size, _BLOCK_ROWS)
+        ])
         memo["columns"] = {}
     base_scores, columns = memo["base"], memo["columns"]
 
     sigma_c = sigma[candidates]
-    y = np.zeros(embedding.d)
-    y_scores = np.zeros(candidates.size)  # <d_n, y> for every candidate
-    u = np.zeros(candidates.size)
-    trace: list[float] = []
-    zeta0 = 0.0
+    walk = memo.get("walk")
+    if walk is not None and walk[0] <= m:
+        iterations, y, y_scores, u, trace, zeta0 = walk
+        y_scores, u, trace = y_scores.copy(), u.copy(), list(trace)
+    else:
+        iterations, zeta0, trace = 0, 0.0, []
+        y = np.zeros(embedding.d)
+        y_scores = np.zeros(candidates.size)  # <d_n, y> for every candidate
+        u = np.zeros(candidates.size)
     early_stop = None
-    iterations = 0
 
-    for _ in range(m):
+    for _ in range(m - iterations):
         residual = ell - zeta0 * y
-        if float(np.linalg.norm(residual)) < _EPS:
+        if math.sqrt(residual @ residual) < _EPS:
             early_stop = "aligned"
             break
         scores = base_scores - zeta0 * y_scores
@@ -251,7 +272,7 @@ def giga_construct(
             early_stop = "no improving direction"
             break
         stepped = (1.0 - gamma) * y + gamma * direction
-        nu = float(np.linalg.norm(stepped))
+        nu = math.sqrt(stepped @ stepped)
         if nu < _EPS:
             early_stop = "iterate collapsed"
             break
@@ -271,6 +292,9 @@ def giga_construct(
         zeta0 = float(ell @ y)
         trace.append(zeta0)
         iterations += 1
+    # Every early stop leaves the state as it was, so a resumed call with a
+    # larger budget stops at the same place.
+    memo["walk"] = (iterations, y, y_scores, u, trace, zeta0)
 
     # Back to likelihood scale: the best multiple of y approximating the
     # total is (total_norm * <ell, y>) y, and y = sum_n u_n v_n / ||v_n||.
@@ -278,7 +302,7 @@ def giga_construct(
     weights = alpha * u / sigma_c
     return _finish(
         "giga", embedding, batch_id, candidates, weights,
-        iterations, trace, started, early_stop,
+        iterations, list(trace), started, early_stop,
     )
 
 

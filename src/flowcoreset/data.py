@@ -6,7 +6,6 @@ holding provenance, so an experiment directory is self-describing.
 """
 
 import csv
-import io
 import json
 import logging
 import math
@@ -290,13 +289,17 @@ def _sidecar_path(path: Path) -> Path:
 
 
 def dataset_csv_text(data: Dataset) -> str:
-    """The exact CSV text save_dataset writes, for byte accounting."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow([f"f{j}" for j in range(data.f)] + ["label"])
-    for i in range(data.n):
-        writer.writerow([repr(float(v)) for v in data.x[i]] + [int(data.y[i])])
-    return buffer.getvalue()
+    """The exact CSV text save_dataset writes, for byte accounting.
+
+    The text is csv.writer's default dialect, joined by hand: no field
+    needs quoting, since a float's repr holds no comma or quote, and every
+    line ends in CRLF.
+    """
+    lines = [",".join([f"f{j}" for j in range(data.f)] + ["label"])]
+    lines += [f"{','.join(map(repr, row))},{int(label)}"
+              for row, label in zip(data.x.tolist(), data.y.tolist())]
+    lines.append("")
+    return "\r\n".join(lines)
 
 
 def save_dataset(data: Dataset, path: str | Path, provenance: dict | None = None,

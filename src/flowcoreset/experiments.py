@@ -460,7 +460,8 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
 
     # As in the stream, a GIGA coreset's reduction time counts the
     # standardization, basis and embedding every budget shares, in full,
-    # plus its own construction; a random one's is its construction alone.
+    # plus its own construction, which for a later budget is the iterations
+    # it adds to the walk; a random one's is its construction alone.
     batch_id = f"ds{index}"
     started = time.perf_counter()
     params, train_std, gigas = compress(

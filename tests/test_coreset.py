@@ -3,11 +3,13 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import nnls
 
+from flowcoreset import coreset as coreset_module
 from flowcoreset.coreset import (
     _EPS,
     _NORM_FLOOR,
@@ -352,7 +354,87 @@ class TestGigaMatchesReference:
         assert_same_coreset(coreset, reference_giga(emb, m))
 
 
+def assert_same_as_cold_call(coreset, embedding, m):
+    """coreset equals giga_construct(embedding, m) on a fresh embedding of
+    the same rows, which starts with an empty memo."""
+    cold = giga_construct(LikelihoodEmbedding(embedding.vectors, embedding.norms), m)
+    np.testing.assert_array_equal(coreset.row_indices, cold.row_indices)
+    np.testing.assert_array_equal(coreset.weights, cold.weights)
+    got, want = coreset.construction, cold.construction
+    assert got.alignment_trace == want.alignment_trace
+    assert got.iterations_run == want.iterations_run
+    assert got.early_stop == want.early_stop
+    assert got.relative_error == want.relative_error
+
+
 class TestGigaMemo:
+    @pytest.mark.parametrize("budgets", [
+        (1, 5, 20, 60, 200),
+        (200, 60, 20, 5, 1),
+        (20, 20, 7, 7, 60, 60),
+        (10, 3, 30, 12, 50, 49),
+    ], ids=["ascending", "descending", "repeated", "mixed"])
+    def test_budget_sequences_match_cold_calls(self, budgets):
+        rng = np.random.default_rng(24)
+        emb = random_embedding(rng, n=120, f=4, d=30)
+        for m in budgets:
+            assert_same_as_cold_call(giga_construct(emb, m), emb, m)
+
+    def test_ascending_budgets_walk_once(self, monkeypatch):
+        """A larger budget resumes where the last call stopped: 10, 25 and 60
+        take 60 steps in all, not 95."""
+        rng = np.random.default_rng(25)
+        emb = random_embedding(rng, n=120, f=4, d=30)
+        steps = []
+
+        def counted(*args):
+            steps.append(args)
+            return geodesic_step_size(*args)
+
+        monkeypatch.setattr(coreset_module, "geodesic_step_size", counted)
+        built = [giga_construct(emb, m) for m in (10, 25, 60)]
+        assert [c.construction.iterations_run for c in built] == [10, 25, 60]
+        assert len(steps) == 60
+        giga_construct(emb, 30)
+        assert len(steps) == 90
+
+    @pytest.mark.parametrize("rows, m", [
+        ([[0.3, 0.4]] * 4, 5),
+        ([[1.0, 0.0]] * 5 + [[0.0, 0.005]], 4),
+        ([[1e3, 1e-12], [-1e3, 1e-12]], 3),
+        ([[1.0, 0.0]] * 32 + [[-1.0, 1.5e-14]] * 31 + [[0.0, 0.00999]] * 61, 5),
+    ], ids=["aligned", "no-improving-direction", "degenerate-step", "collapsed"])
+    def test_resumed_early_stop_matches_cold_calls(self, rows, m):
+        """After a walk stops early, a larger budget stops at the same place,
+        and a budget equal to the iterations it ran reports no early stop."""
+        emb = hand_embedding(rows)
+        stopped = giga_construct(emb, m)
+        assert stopped.construction.early_stop is not None
+        ran = stopped.construction.iterations_run
+        for budget in (m, 2 * m, max(ran, 1), m + 1, 1, 2 * m):
+            assert_same_as_cold_call(giga_construct(emb, budget), emb, budget)
+
+    def test_resumed_walk_past_the_column_cap(self):
+        rng = np.random.default_rng(26)
+        emb = random_embedding(rng, n=100, f=3, d=3)
+        for m in (10, 30, 50, 20, 50, 80):
+            assert_same_as_cold_call(giga_construct(emb, m), emb, m)
+        assert len(emb.giga_memo["columns"]) == 3
+
+    def test_first_call_holds_no_n_by_d_copy(self):
+        """Base scores are built a block of rows at a time, so a first call
+        allocates far less than the n x d embedding itself."""
+        rng = np.random.default_rng(27)
+        giga_construct(random_embedding(rng), 1)  # one-time allocations
+        emb = random_embedding(rng, n=2000, f=5, d=200)
+        tracemalloc.start()
+        try:
+            giga_construct(emb, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * emb.vectors.nbytes
+
     def test_warm_call_matches_cold_call(self):
         rng = np.random.default_rng(21)
         emb = random_embedding(rng, n=80, f=4, d=30)

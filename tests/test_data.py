@@ -1,5 +1,7 @@
 """Tests for dataset ingestion, subsampling, standardization, and synthesis."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -265,6 +267,21 @@ class TestSaveLoad:
         text = sidecar.read_text()
         assert text.count("\n") <= 1
         assert json.loads(text)["source"] == "synthetic"
+
+    @pytest.mark.parametrize("x", [
+        [[-0.0, 5e-324, 1e308], [0.1, 3.0, -2.0], [-1e-308, 1.0, 1e16]],
+        np.empty((0, 3)),
+    ])
+    def test_csv_text_matches_csv_writer(self, x):
+        """Edge floats and an empty dataset come out as csv.writer writes
+        them, one repr per float."""
+        data = Dataset(np.asarray(x, dtype=float), np.array([1.0, -1.0, 1.0][:len(x)]))
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(["f0", "f1", "f2", "label"])
+        for row, label in zip(data.x, data.y):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        assert dataset_csv_text(data) == buffer.getvalue()
 
     def test_csv_text_matches_file_bytes(self, tmp_path):
         data = generate_synthetic(7, 4, f=3, separation=2.0, rng_seed=3)
