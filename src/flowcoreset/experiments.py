@@ -668,32 +668,23 @@ def _stream_arrivals(config: ExperimentConfig, rep: int):
     return tuple(batches), tuple(tests)
 
 
-def stream_arms(config: ExperimentConfig,
-                mode_override: str | None = None) -> list[tuple[str, int | None]]:
-    spec = config.stream
-    if spec is None:
-        raise ConfigError("config has no stream section")
-    modes = (mode_override,) if mode_override else spec.modes
-    arms: list[tuple[str, int | None]] = []
-    for mode in modes:
-        if mode == "pool_full":
-            arms.append((mode, None))
-        else:
-            arms.extend((mode, m) for m in config.budgets)
-    return arms
-
-
 def run_stream_experiment(
     config: ExperimentConfig, out_dir: str | Path | None,
     mode_override: str | None = None,
 ) -> tuple[dict, list[dict]]:
     """Run every stream arm for every repetition.
 
+    Each mode runs as one plan per repetition, seeded by the repetition
+    and mode alone: the pool's one arm, or one arm per budget.
     Returns (report, arm_records); arm_records keeps the in-memory
-    StepRecords (with their coresets) for callers that inspect
-    construction diagnostics.
+    StepRecords (with their coresets) of each arm that finished, mode by
+    mode and budget by budget, for callers that inspect construction
+    diagnostics.
     """
-    arms = stream_arms(config, mode_override)
+    spec = config.stream
+    if spec is None:
+        raise ConfigError("config has no stream section")
+    modes = (mode_override,) if mode_override else spec.modes
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -705,37 +696,38 @@ def run_stream_experiment(
     arm_records: list[dict] = []
     for rep in range(config.repetitions):
         batches, tests = _stream_arrivals(config, rep)
-        for mode, budget in arms:
+        for mode in modes:
             plan = StreamPlan(
                 batches=batches, test_sets=tests, mode=mode,
-                coreset_budget=budget or 1,
+                coreset_budgets=config.budgets,
                 embedding_dim=config.embedding_dim,
                 rng_seed=derive_seed(config.rng_seed, "stream", "arm", rep,
-                                     mode, budget or 0),
+                                     mode, 0),
                 weighting=config.weighting,
-                eval_scope=config.stream.eval_scope,
+                eval_scope=spec.eval_scope,
                 hmc=config.hmc, predict_draws=config.predict_draws,
             )
-            try:
-                records = run_stream(plan)
-            except FlowCoresetError as exc:
-                rows.append({"mode": mode, "budget": budget,
-                             "repetition": rep, "step": None,
-                             "error": f"{type(exc).__name__}: {exc}"})
-                continue
-            arm_records.append({"mode": mode, "budget": budget,
-                                "repetition": rep, "records": records})
-            for record in records:
-                rows.append(_stream_row(record, mode, budget, rep))
+            errors: dict = {}
+            records = run_stream(plan, errors)
+            for budget in plan.budgets:
+                if budget in errors:
+                    exc = errors[budget]
+                    rows.append({"mode": mode, "budget": budget,
+                                 "repetition": rep, "step": None,
+                                 "error": f"{type(exc).__name__}: {exc}"})
+                    continue
+                arm = [r for r in records if r.budget == budget]
+                arm_records.append({"mode": mode, "budget": budget,
+                                    "repetition": rep, "records": arm})
+                rows.extend(_stream_row(record, rep) for record in arm)
     report, _ = _finish_run(out, "stream", rows, config.to_dict())
     return report, arm_records
 
 
-def _stream_row(record: StepRecord, mode: str, budget: int | None,
-                rep: int) -> dict:
+def _stream_row(record: StepRecord, rep: int) -> dict:
     diag = record.model_diagnostics
     return {
-        "mode": mode, "budget": budget, "repetition": rep,
+        "mode": record.mode, "budget": record.budget, "repetition": rep,
         "step": record.step, "stored_samples": record.stored_samples,
         "reduction_seconds": record.reduction_seconds,
         "training_seconds": record.training_seconds,

@@ -99,7 +99,7 @@ def stream_improvement():
                              (MODE_CORESET, 100)):
             plan = StreamPlan(
                 batches=batches, test_sets=tests, mode=mode,
-                coreset_budget=budget, embedding_dim=500,
+                coreset_budgets=(budget,), embedding_dim=500,
                 rng_seed=derive_seed(0, "c4", rep, mode, budget),
                 hmc=settings, predict_draws=300)
             for record in run_stream(plan):
@@ -214,7 +214,7 @@ class TestAccuracyStructure:
             for mode in (MODE_POOL, MODE_CORESET):
                 plan = StreamPlan(
                     batches=tuple(batches), test_sets=tuple(tests), mode=mode,
-                    coreset_budget=25, embedding_dim=500,
+                    coreset_budgets=(25,), embedding_dim=500,
                     rng_seed=derive_seed(0, "c5", rep, mode),
                     hmc=settings, predict_draws=50)
                 for record in run_stream(plan):

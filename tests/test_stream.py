@@ -1,8 +1,11 @@
 """Streaming simulation: reduction rules, bookkeeping, and equivalences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from flowcoreset import coreset, stream
 from flowcoreset.coreset import giga_construct
 from flowcoreset.data import (
     Dataset,
@@ -12,7 +15,12 @@ from flowcoreset.data import (
     stratified_split,
 )
 from flowcoreset.embed import build_projection_basis, embed_log_likelihoods
-from flowcoreset.errors import ConfigError, DataError
+from flowcoreset.errors import ConfigError, DataError, NumericalError
+from flowcoreset.experiments import (
+    ExperimentConfig,
+    _stream_arrivals,
+    run_stream_experiment,
+)
 from flowcoreset.inference import WeightedBLRModel, accuracy, hmc_sample
 from flowcoreset.seeds import derive_seed
 from flowcoreset.stream import (
@@ -55,7 +63,7 @@ def make_arrivals(n_batches, batch_pos=30, batch_neg=150, test_pos=40,
 def make_plan(mode, n_batches=2, budget=60, d=30, seed=7, **overrides):
     batches, tests = make_arrivals(n_batches)
     settings = dict(
-        batches=batches, test_sets=tests, mode=mode, coreset_budget=budget,
+        batches=batches, test_sets=tests, mode=mode, coreset_budgets=(budget,),
         embedding_dim=d, rng_seed=seed, hmc=FAST_HMC, predict_draws=60,
     )
     settings.update(overrides)
@@ -127,7 +135,7 @@ class TestBookkeeping:
         long_plan = make_plan(MODE_CORESET, n_batches=2)
         short_plan = StreamPlan(
             batches=long_plan.batches[:1], test_sets=long_plan.test_sets[:1],
-            mode=MODE_CORESET, coreset_budget=long_plan.coreset_budget,
+            mode=MODE_CORESET, coreset_budgets=long_plan.coreset_budgets,
             embedding_dim=long_plan.embedding_dim, rng_seed=long_plan.rng_seed,
             hmc=FAST_HMC, predict_draws=60,
         )
@@ -196,3 +204,154 @@ class TestLearningBehavior:
         assert diag["n_draws"] == 60
         assert 0.0 <= diag["acceptance_rate"] <= 1.0
         assert {"acceptance_rate", "n_divergent"} <= set(diag)
+
+
+def assert_same_apart_from_seconds(a, b):
+    """Two step records agree on everything but their *_seconds fields."""
+    assert (a.step, a.mode, a.budget, a.stored_samples, a.accuracy,
+            a.eval_samples) == (b.step, b.mode, b.budget, b.stored_samples,
+                                b.accuracy, b.eval_samples)
+    assert a.model_diagnostics == b.model_diagnostics
+    if a.added_coreset is None:
+        assert b.added_coreset is None
+        return
+    ca, cb = a.added_coreset, b.added_coreset
+    assert ca.batch_ids == cb.batch_ids
+    np.testing.assert_array_equal(ca.row_indices, cb.row_indices)
+    np.testing.assert_array_equal(ca.weights, cb.weights)
+    assert replace(ca.construction, wall_clock_seconds=0.0) == \
+        replace(cb.construction, wall_clock_seconds=0.0)
+
+
+class TestSharedCompression:
+    """A plan's budgets share one compression per batch, and each budget's
+    arm is the arm a one-budget plan with the same seed runs."""
+
+    @pytest.mark.parametrize("mode", [MODE_CORESET, MODE_RANDOM])
+    def test_each_budget_matches_its_one_budget_plan(self, mode):
+        shared = run_stream(make_plan(mode, coreset_budgets=(40, 80)))
+        assert [r.budget for r in shared] == [40, 40, 80, 80]
+        assert [r.step for r in shared] == [0, 1, 0, 1]
+        for budget in (40, 80):
+            alone = run_stream(make_plan(mode, budget=budget))
+            arm = [r for r in shared if r.budget == budget]
+            assert len(arm) == len(alone) == 2
+            for a, b in zip(arm, alone):
+                assert_same_apart_from_seconds(a, b)
+
+    def test_one_basis_and_embedding_per_batch(self, monkeypatch):
+        calls = []
+        real = coreset.build_projection_basis
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coreset, "build_projection_basis", counted)
+        run_stream(make_plan(MODE_CORESET, n_batches=3,
+                             coreset_budgets=(20, 40, 80)))
+        assert calls == [30, 30, 30]
+
+    def test_each_budget_counts_the_shared_frame_in_full(self):
+        """reduction_seconds less a budget's own walk is the same frame
+        for every budget of a step."""
+        records = run_stream(make_plan(MODE_CORESET,
+                                       coreset_budgets=(20, 40, 80)))
+        for step in (0, 1):
+            at = [r for r in records if r.step == step]
+            frames = [r.reduction_seconds
+                      - r.added_coreset.construction.wall_clock_seconds
+                      for r in at]
+            assert frames[0] > 0.0
+            assert frames == pytest.approx([frames[0]] * 3, abs=1e-12)
+
+
+STREAM_CONFIG = {
+    "source": {"kind": "synthetic", "n_datasets": 1, "train_pos": 15,
+               "train_neg": 75, "test_pos": 30, "test_neg": 30,
+               "features": 5, "separation": 6.0},
+    "embedding_dim": 30,
+    "budgets": [15, 30],
+    "hmc": {"total_samples": 120, "burn_frac": 0.5, "thin": 2,
+            "leapfrog_steps": 8},
+    "predict_draws": 30,
+    "repetitions": 2,
+    "rng_seed": 3,
+    "stream": {"modes": ["pool_full", "coreset_aggregate"], "n_batches": 2,
+               "batch_pos": 15, "batch_neg": 75, "test_pos": 25,
+               "test_neg": 25},
+}
+
+
+def stream_config(**overrides) -> ExperimentConfig:
+    return ExperimentConfig.from_dict({**STREAM_CONFIG, **overrides})
+
+
+class TestExperimentArms:
+    def test_pool_arm_is_the_pool_plan_seeded_by_repetition(self):
+        config = stream_config()
+        _, arms = run_stream_experiment(config, None)
+        pools = [arm for arm in arms if arm["mode"] == MODE_POOL]
+        assert [arm["repetition"] for arm in pools] == [0, 1]
+        for arm in pools:
+            rep = arm["repetition"]
+            batches, tests = _stream_arrivals(config, rep)
+            plan = StreamPlan(
+                batches=batches, test_sets=tests, mode=MODE_POOL,
+                embedding_dim=config.embedding_dim,
+                rng_seed=derive_seed(config.rng_seed, "stream", "arm", rep,
+                                     "pool_full", 0),
+                hmc=config.hmc, predict_draws=config.predict_draws)
+            expected = run_stream(plan)
+            assert len(arm["records"]) == len(expected) == 2
+            for a, b in zip(arm["records"], expected):
+                assert_same_apart_from_seconds(a, b)
+
+    def test_a_failed_training_ends_only_its_budget(self, monkeypatch):
+        config = stream_config(
+            repetitions=1, stream={**STREAM_CONFIG["stream"],
+                                   "modes": ["coreset_aggregate"]})
+        _, clean = run_stream_experiment(config, None)
+
+        real = stream.hmc_sample
+        trained = []
+
+        def failing(model, **kwargs):
+            # Step 0 trains budget 15, then budget 30: fail the second.
+            trained.append(model.n)
+            if len(trained) == 2:
+                raise NumericalError("injected divergence")
+            return real(model, **kwargs)
+
+        monkeypatch.setattr(stream, "hmc_sample", failing)
+        report, arms = run_stream_experiment(config, None)
+
+        assert len(trained) == 3  # budget 30 does not train at step 1
+        assert report["failures"] == [{
+            "mode": "coreset_aggregate", "budget": 30, "repetition": 0,
+            "error": "NumericalError: injected divergence"}]
+        assert [(arm["budget"], len(arm["records"])) for arm in arms] == \
+            [(15, 2)]
+        for a, b in zip(arms[0]["records"], clean[0]["records"]):
+            assert_same_apart_from_seconds(a, b)
+
+    def test_a_failed_compression_ends_every_budget(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise DataError("injected empty embedding")
+
+        monkeypatch.setattr(stream, "compress", failing)
+        report, arms = run_stream_experiment(stream_config(repetitions=1),
+                                             None)
+        assert [(f["mode"], f["budget"]) for f in report["failures"]] == [
+            ("coreset_aggregate", 15), ("coreset_aggregate", 30)]
+        assert all("DataError" in f["error"] for f in report["failures"])
+        assert [arm["mode"] for arm in arms] == [MODE_POOL]
+        assert len(arms[0]["records"]) == 2
+
+    def test_plan_without_errors_raises_the_first(self, monkeypatch):
+        def failing(model, **kwargs):
+            raise NumericalError("injected divergence")
+
+        monkeypatch.setattr(stream, "hmc_sample", failing)
+        with pytest.raises(NumericalError):
+            run_stream(make_plan(MODE_CORESET, coreset_budgets=(40, 80)))
