@@ -14,7 +14,6 @@ import dataclasses
 import json
 import logging
 import sys
-import time
 from importlib import resources
 from pathlib import Path
 
@@ -115,21 +114,19 @@ def cmd_prepare(args) -> int:
 
 def cmd_coreset(args) -> int:
     data, _ = load_dataset(args.data)
-    started = time.perf_counter()
     if args.method == "random":
         built = random_construct(data.n, min(args.budget, data.n), args.seed)
     else:
         _, _, (built,) = compress(
             data, (args.budget,), args.d, derive_seed(args.seed, "basis"),
             args.weighting, "batch0", method=args.method)
-    elapsed = time.perf_counter() - started
     save_coreset(built, args.out)
     diag = built.construction
     print(json.dumps({
         "method": args.method,
         "entries": built.size,
-        "relative_error": (diag.relative_error if diag else None),
-        "seconds": elapsed,
+        "relative_error": diag.relative_error,
+        "seconds": diag.wall_clock_seconds,
         "path": str(args.out),
     }))
     return 0

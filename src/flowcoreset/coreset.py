@@ -16,7 +16,7 @@ for that row's Gram column; the embedding memoises them, up to d columns,
 so repeat picks reuse them. It memoises the walk as well: a later call with
 a larger budget on the same embedding resumes it, so ascending budgets
 cost one walk and a later budget's wall_clock_seconds counts only its
-extra iterations.
+extra iterations; `compress` adds the work the budgets share.
 
 The Frank-Wolfe one minimizes the reconstruction error over a scaled
 simplex whose vertices are single-sample solutions. A uniform random
@@ -373,16 +373,25 @@ def compress(
     Frank-Wolfe) construction per budget. Coreset rows index data and the
     returned std alike; train on std's rows, the frame they were built in.
 
+    Each coreset's construction.wall_clock_seconds is its reduction time:
+    the shared standardization, MAP pilot, basis and embedding in full,
+    plus its own construction, which for a later GIGA budget is only the
+    iterations it adds to the walk.
+
     Returns:
         (params, std, coresets), with coresets in the order of budgets.
     """
+    started = time.perf_counter()
     construct = frankwolfe_construct if method == "fw" else giga_construct
     params = fit_standardization(data)
     std = apply_standardization(data, params)
     basis = build_projection_basis(std, d, rng_seed, weighting=weighting)
     embedding = embed_log_likelihoods(std, basis)
+    shared = time.perf_counter() - started
     built = [construct(embedding, m, batch_id=batch_id) for m in budgets]
-    return params, std, built
+    return params, std, [replace(c, construction=replace(
+        c.construction, wall_clock_seconds=shared + c.construction.wall_clock_seconds))
+        for c in built]
 
 
 def random_construct(

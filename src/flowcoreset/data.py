@@ -230,11 +230,20 @@ def fit_standardization(train: Dataset) -> StandardizationParams:
 
     Features whose standard deviation falls below 1e-12 get scale 1 so a
     constant column passes through centred but unscaled.
+
+    Raises:
+        DataError: an empty dataset, or a column whose mean or standard
+            deviation overflows (a spread beyond about 1e154), naming it.
     """
     if train.n == 0:
         raise DataError("cannot fit standardization on an empty dataset")
-    mean = train.x.mean(axis=0)
-    scale = train.x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.x.mean(axis=0)
+        scale = train.x.std(axis=0)
+    overflowed = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(scale)))
+    if overflowed.size:
+        raise DataError(f"feature column {int(overflowed[0])} overflows float64 "
+                        "when standardized: its mean or spread is not finite")
     scale = np.where(scale < _SCALE_FLOOR, 1.0, scale)
     return StandardizationParams(mean=mean, scale=scale)
 
@@ -345,8 +354,9 @@ def load_dataset(path: str | Path) -> tuple[Dataset, dict]:
     sidecar = _sidecar_path(path)
     meta = load_json(sidecar) if sidecar.exists() else {}
     with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
+        header = next(csv.reader(handle), [])
+        if not header:
+            raise DataError(f"{path}: empty file, expected a header row")
         schema = CsvSchema(
             feature_columns=header[:-1],
             label_column=header[-1],

@@ -6,7 +6,9 @@ every training with fresh seeds. The streaming runner replays the same
 batches through each requested reduction mode. Both write a trial-level
 results CSV (the source of truth), and the report files are derived from
 that CSV alone, so regenerating a report never recomputes anything and is
-byte-identical across invocations.
+byte-identical across invocations. Both take a coreset's reduction
+seconds from `coreset.compress` and a model's training seconds from
+`inference.sample_and_score`, so the two grids define them alike.
 
 Every random draw descends from the config's root seed through named
 derivation paths, so two runs with the same config agree everywhere except
@@ -42,9 +44,8 @@ from .embed import WEIGHTING_LAPLACE, WEIGHTING_PRIOR
 from .errors import ConfigError, DataError, FlowCoresetError
 from .inference import (
     WeightedBLRModel,
-    accuracy,
     check_sampler_settings,
-    hmc_sample,
+    sample_and_score,
     save_posterior,
     svm_accuracy,
     svm_train,
@@ -458,17 +459,10 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
     pos = int(np.sum(train.y == 1.0))
     minority_label = 1.0 if pos <= train.n - pos else -1.0
 
-    # As in the stream, a GIGA coreset's reduction time counts the
-    # standardization, basis and embedding every budget shares, in full,
-    # plus its own construction, which for a later budget is the iterations
-    # it adds to the walk; a random one's is its construction alone.
     batch_id = f"ds{index}"
-    started = time.perf_counter()
     params, train_std, gigas = compress(
         train, config.budgets, config.embedding_dim,
         derive_seed(root, "basis", index), config.weighting, batch_id)
-    frame_seconds = time.perf_counter() - started - sum(
-        c.construction.wall_clock_seconds for c in gigas)
     test_std = apply_standardization(test, params)
 
     train_text = dataset_csv_text(train)
@@ -478,7 +472,7 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
 
     coresets: dict[str, tuple[Coreset, dict]] = {}
 
-    def store(name: str, built: Coreset, shared_seconds: float = 0.0) -> None:
+    def store(name: str, built: Coreset) -> None:
         # What retraining from the condensed form needs: entry list with
         # weights plus the referenced raw rows. Construction diagnostics
         # carry wall-clock noise and are excluded from the byte count.
@@ -503,13 +497,13 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
                 train.y[built.row_indices] == minority_label)),
             "storage_bytes": storage,
             "full_bytes": full_bytes,
-            "reduce_seconds": shared_seconds + diag.wall_clock_seconds,
+            "reduce_seconds": diag.wall_clock_seconds,
             "residual_norm": diag.residual_norm,
             "relative_error": diag.relative_error,
         })
 
     for m, giga in zip(config.budgets, gigas):
-        store(f"giga_m{m}", giga, frame_seconds)
+        store(f"giga_m{m}", giga)
     size = min(config.effective_random_size, train.n)
     store("random",
           random_construct(train.n, size, derive_seed(root, "randcs", index),
@@ -545,13 +539,10 @@ def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
                 *materialize(built, {f"ds{index}": prepared.train_std}))
             row.update(fields)
 
-        started = time.perf_counter()
-        posterior = hmc_sample(
-            model, rng_seed=derive_seed(config.rng_seed, "hmc", index, tag, rep),
-            **config.hmc)
-        row["train_seconds"] = time.perf_counter() - started
-        draws = min(config.predict_draws, posterior.n_draws)
-        row["accuracy"] = accuracy(posterior, prepared.test_std, n_draws=draws)
+        posterior, row["train_seconds"], row["accuracy"] = sample_and_score(
+            model, prepared.test_std,
+            derive_seed(config.rng_seed, "hmc", index, tag, rep), config.hmc,
+            config.predict_draws)
         row["acceptance_rate"] = posterior.acceptance_rate
         row["step_size"] = posterior.step_size
         row["n_divergent"] = posterior.n_divergent

@@ -15,6 +15,7 @@ deterministic non-Bayesian reference point.
 
 import json
 import math
+import time
 from collections import deque
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
@@ -92,6 +93,7 @@ class WeightedBLRModel:
     """Design matrix, labels in {+1, -1}, and per-sample likelihood weights.
 
     n = 0 is allowed and leaves the standard normal prior as the posterior.
+    A Dataset checks the rows; the model checks only its weights.
     """
 
     x: np.ndarray
@@ -99,14 +101,8 @@ class WeightedBLRModel:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        x = np.ascontiguousarray(np.asarray(self.x, dtype=np.float64))
-        y = np.asarray(self.y, dtype=np.float64)
-        if x.ndim != 2:
-            raise DataError(f"design matrix must be 2-d, got shape {x.shape}")
-        if y.shape != (x.shape[0],):
-            raise DataError("label vector does not match design matrix rows")
-        if y.size and not np.all(np.isin(y, (-1.0, 1.0))):
-            raise DataError("labels must be +1 or -1")
+        rows = Dataset(self.x, self.y)
+        x, y = rows.x, rows.y
         if self.weights is None:
             w = np.ones(x.shape[0])
         else:
@@ -115,8 +111,6 @@ class WeightedBLRModel:
             raise DataError("weight vector does not match label vector")
         if w.size and (not np.all(np.isfinite(w)) or np.any(w < 0)):
             raise DataError("weights must be finite and nonnegative")
-        if not np.all(np.isfinite(x)):
-            raise DataError("design matrix contains non-finite values")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "weights", w)
@@ -486,6 +480,17 @@ def accuracy(
 ) -> float:
     probs = predict_batch(posterior, data.x, n_draws)
     return float(np.mean(classify(probs) == data.y))
+
+
+def sample_and_score(model: WeightedBLRModel, test: Dataset, rng_seed: int, hmc: dict,
+                     predict_draws: int) -> tuple[PosteriorSamples, float, float]:
+    """(posterior, seconds, accuracy): HMC on model, timed alone, scored on test
+    in the model's frame by its last predict_draws draws, or all it kept."""
+    started = time.perf_counter()
+    posterior = hmc_sample(model, rng_seed=rng_seed, **hmc)
+    seconds = time.perf_counter() - started
+    draws = min(predict_draws, posterior.n_draws)
+    return posterior, seconds, accuracy(posterior, test, n_draws=draws)
 
 
 def svm_train(data: Dataset, reg: float = 1e-3) -> np.ndarray:

@@ -16,15 +16,13 @@ Each budget keeps its own store and trains its own model, and the budgets
 share the step's HMC seed.
 
 Previously stored coresets are never touched again, so each store is
-append-only. Reduction time and training time are recorded separately with
-a monotonic clock. A budget's reduction time counts the shared
-standardization, basis and embedding in full, plus the iterations its own
-budget adds to the walk.
+append-only. A budget's reduction time is the one `compress` sets on its
+coreset (a random coreset's is its construction, the pool's 0), and its
+training time is the chain `inference.sample_and_score` times.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -34,7 +32,7 @@ from .coreset import Coreset, aggregate, compress, materialize, random_construct
 from .data import Dataset, apply_standardization, fit_standardization
 from .embed import WEIGHTING_LAPLACE
 from .errors import ConfigError, DataError, FlowCoresetError
-from .inference import WeightedBLRModel, accuracy, hmc_sample
+from .inference import WeightedBLRModel, sample_and_score
 from .seeds import derive_seed
 
 MODE_POOL = "pool_full"
@@ -119,23 +117,16 @@ def _concat(datasets: list[Dataset]) -> Dataset:
 
 
 def _reduce_batch(plan: StreamPlan, step: int, batch_id: str, batch: Dataset,
-                  budgets: tuple[int, ...]) -> list[tuple[Coreset, float]]:
-    """Compress one arriving batch to a coreset per budget, each with its
-    reduction seconds."""
+                  budgets: tuple[int, ...]) -> list[Coreset]:
+    """Compress one arriving batch to a coreset per budget."""
     if plan.mode == MODE_RANDOM:
         seed = derive_seed(plan.rng_seed, "reduce", step)
-        built = [random_construct(batch.n, min(m, batch.n), seed,
-                                  batch_id=batch_id) for m in budgets]
-        return [(c, c.construction.wall_clock_seconds) for c in built]
+        return [random_construct(batch.n, min(m, batch.n), seed, batch_id=batch_id)
+                for m in budgets]
     # The pilot sees only this batch: streaming assumes no lookahead.
-    started = time.perf_counter()
-    _, _, built = compress(
-        batch, budgets, plan.embedding_dim,
-        derive_seed(plan.rng_seed, "basis", step), plan.weighting, batch_id)
-    frame_seconds = time.perf_counter() - started - sum(
-        c.construction.wall_clock_seconds for c in built)
-    return [(c, frame_seconds + c.construction.wall_clock_seconds)
-            for c in built]
+    return compress(batch, budgets, plan.embedding_dim,
+                    derive_seed(plan.rng_seed, "basis", step), plan.weighting,
+                    batch_id)[2]
 
 
 def _training_set(arrived: list[Dataset], store: list[Coreset] | None,
@@ -147,16 +138,13 @@ def _training_set(arrived: list[Dataset], store: list[Coreset] | None,
     on what is kept and the model retrains from scratch.
     """
     if store is None:
-        pool = _concat(arrived)
-        params = fit_standardization(pool)
-        model = WeightedBLRModel.from_dataset(apply_standardization(pool, params))
-        return model, params, pool.n
-    combined = aggregate(store)
-    x, y, weights = materialize(combined, raw_batches)
-    entries = Dataset(x, y)
-    params = fit_standardization(entries)
-    std = apply_standardization(entries, params)
-    return WeightedBLRModel(std.x, std.y, weights), params, combined.size
+        kept, weights = _concat(arrived), None
+    else:
+        x, y, weights = materialize(aggregate(store), raw_batches)
+        kept = Dataset(x, y)
+    params = fit_standardization(kept)
+    model = WeightedBLRModel.from_dataset(apply_standardization(kept, params), weights)
+    return model, params, kept.n
 
 
 def run_stream(plan: StreamPlan,
@@ -186,7 +174,7 @@ def run_stream(plan: StreamPlan,
             break
 
         if plan.mode == MODE_POOL:
-            reduced = [(None, 0.0)]
+            reduced = [None]
         else:
             try:
                 reduced = _reduce_batch(plan, step, batch_id, batch, live)
@@ -202,18 +190,15 @@ def run_stream(plan: StreamPlan,
             test = plan.test_sets[step]
         hmc_seed = derive_seed(plan.rng_seed, "hmc", step)
 
-        for budget, (added, reduction_seconds) in zip(live, reduced):
+        for budget, added in zip(live, reduced):
             try:
                 if added is not None:
                     stores[budget].append(added)
                 model, params, stored_samples = _training_set(
                     arrived, stores[budget], raw_batches)
-                started = time.perf_counter()
-                posterior = hmc_sample(model, rng_seed=hmc_seed, **plan.hmc)
-                training_seconds = time.perf_counter() - started
-                draws = min(plan.predict_draws, posterior.n_draws)
-                acc = accuracy(posterior, apply_standardization(test, params),
-                               n_draws=draws)
+                posterior, training_seconds, acc = sample_and_score(
+                    model, apply_standardization(test, params), hmc_seed,
+                    plan.hmc, plan.predict_draws)
             except FlowCoresetError as exc:
                 if errors is None:
                     raise
@@ -223,7 +208,8 @@ def run_stream(plan: StreamPlan,
                 step=step,
                 mode=plan.mode,
                 stored_samples=stored_samples,
-                reduction_seconds=reduction_seconds,
+                reduction_seconds=(added.construction.wall_clock_seconds
+                                   if added is not None else 0.0),
                 training_seconds=training_seconds,
                 accuracy=acc,
                 eval_samples=test.n,

@@ -258,6 +258,28 @@ class TestExitCodes:
         assert "Traceback" not in caplog.text + capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command,case", [
+        ("coreset", "0-byte"), ("train", "0-byte"), ("eval", "0-byte"),
+        ("coreset", "overflowing-column"), ("train", "overflowing-column"),
+    ])
+    def test_unusable_data_csv_exits_two(self, full_posterior, tmp_path,
+                                         capsys, caplog, command, case):
+        """A 0-byte CSV, and a column whose spread overflows the sd, are
+        data errors: exit 2 with a data error line, no output written."""
+        data = tmp_path / "data.csv"
+        data.write_text("" if case == "0-byte" else
+                        "f0,f1,label\n-1.54,0.3,1\n-1.28,-0.2,-1\n"
+                        "-7.19e201,1.1,1\n0.5,0.7,-1\n")
+        out = tmp_path / "out"
+        argv = {"coreset": ["coreset", "--out", str(out), "--budget", "3",
+                            "--d", "5"],
+                "train": ["train", "--out", str(out), *TRAIN_FLAGS],
+                "eval": ["eval", "--posterior", str(full_posterior)]}[command]
+        assert main(argv + ["--data", str(data)]) == 2
+        assert "data error:" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["coreset-no-weight", "coreset-not-json",
                                       "posterior-sidecar-empty",
                                       "posterior-draws-truncated",
@@ -469,7 +491,7 @@ class TestExperimentCommands:
         def diverge(*args, **kwargs):
             raise NumericalError("HMC aborted: persistent divergences")
 
-        monkeypatch.setattr("flowcoreset.experiments.hmc_sample", diverge)
+        monkeypatch.setattr("flowcoreset.inference.hmc_sample", diverge)
         out = tmp_path / "run"
         assert main(["offline", "--config", str(cfg), "--out", str(out)]) == 0
         assert "Logging error" not in capsys.readouterr().err

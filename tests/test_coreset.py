@@ -547,6 +547,26 @@ class TestCompress:
         np.testing.assert_array_equal(fw.row_indices, direct.row_indices)
         np.testing.assert_array_equal(fw.weights, direct.weights)
 
+    def test_each_budget_counts_the_shared_work_in_full(self, monkeypatch):
+        """A coreset's wall_clock_seconds less its own construction is the
+        standardization, pilot, basis and embedding, the same for every
+        budget."""
+        walks = []
+        real = coreset_module.giga_construct
+
+        def timed(*args, **kwargs):
+            built = real(*args, **kwargs)
+            walks.append(built.construction.wall_clock_seconds)
+            return built
+
+        monkeypatch.setattr(coreset_module, "giga_construct", timed)
+        data = generate_synthetic(20, 60, f=4, separation=2.0, rng_seed=15)
+        built = compress(data, (5, 12, 30), 30, 16, "laplace", "b")[2]
+        shared = [c.construction.wall_clock_seconds - walk
+                  for c, walk in zip(built, walks, strict=True)]
+        assert shared[0] > 0.0
+        assert shared == pytest.approx([shared[0]] * 3, abs=1e-12)
+
 
 class TestRandomConstruct:
     def test_distinct_indices_and_unbiased_weights(self):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,21 @@ class TestStandardization:
         with pytest.raises(DataError):
             fit_standardization(empty)
 
+    def test_overflowing_column_is_a_data_error(self):
+        """A spread past about 1e154 overflows the sd; the column is named,
+        not divided to zero behind a warning, and finite columns keep
+        numpy's mean and sd bit for bit."""
+        x = np.array([[0.3, -1.54], [-0.2, -1.28], [1.1, -7.19e201]])
+        y = np.array([1.0, -1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="feature column 1 overflows"):
+                fit_standardization(Dataset(x, y))
+            finite = Dataset(x[:, :1], y)
+            params = fit_standardization(finite)
+        np.testing.assert_array_equal(params.mean, finite.x.mean(axis=0))
+        np.testing.assert_array_equal(params.scale, finite.x.std(axis=0))
+
 
 class TestGenerateSynthetic:
     def test_same_seed_is_bitwise_identical(self):
@@ -258,6 +274,12 @@ class TestSaveLoad:
         np.testing.assert_array_equal(back.x, data.x)
         np.testing.assert_array_equal(back.y, data.y)
         assert meta["rng_seed"] == 9
+
+    @pytest.mark.parametrize("text", ["", "\n"], ids=["0-byte", "blank-line"])
+    def test_file_without_a_header_is_a_data_error(self, tmp_path, text):
+        path = write_csv(tmp_path, text)
+        with pytest.raises(DataError, match="empty file"):
+            load_dataset(path)
 
     def test_sidecar_is_single_line_json(self, tmp_path):
         data = generate_synthetic(5, 5, f=2, separation=1.0, rng_seed=1)

@@ -269,18 +269,19 @@ class TestOffline:
         assert sorted(p.name for p in written) == ["report.csv", "report.json"]
 
     def test_giga_reduce_seconds_count_the_shared_embedding(self, offline_run):
-        """A GIGA row's reduction time adds the standardization, basis and
-        embedding to its construction; a random row's is its construction."""
+        """A coreset row's reduction time is its saved coreset's
+        wall_clock_seconds, which for GIGA compress sets to include the
+        shared standardization, basis and embedding."""
         out, _ = offline_run
+        checked = 0
         for row in read_rows(out / "results.csv", OFFLINE_COLUMNS):
             name = row["condition"].removeprefix("blr_").replace("coreset_", "giga_")
             path = out / "coresets" / f"ds{row['dataset']}_{name}.json"
-            if name == "random":
+            if name == "random" or name.startswith("giga_"):
                 built = load_coreset(path).construction.wall_clock_seconds
-                assert row["reduce_seconds"] == built
-            elif name.startswith("giga_"):
-                built = load_coreset(path).construction.wall_clock_seconds
-                assert row["reduce_seconds"] > built
+                assert row["reduce_seconds"] == built > 0.0
+                checked += 1
+        assert checked
 
     def test_failed_trials_become_error_rows(self, tmp_path):
         config = tiny_config(

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flowcoreset import coreset, stream
+from flowcoreset import coreset, inference, stream
 from flowcoreset.coreset import giga_construct
 from flowcoreset.data import (
     Dataset,
@@ -252,16 +252,26 @@ class TestSharedCompression:
                              coreset_budgets=(20, 40, 80)))
         assert calls == [30, 30, 30]
 
-    def test_each_budget_counts_the_shared_frame_in_full(self):
+    def test_each_budget_counts_the_shared_frame_in_full(self, monkeypatch):
         """reduction_seconds less a budget's own walk is the same frame
         for every budget of a step."""
+        walks = []
+        real = coreset.giga_construct
+
+        def timed(*args, **kwargs):
+            built = real(*args, **kwargs)
+            walks.append(built.construction.wall_clock_seconds)
+            return built
+
+        monkeypatch.setattr(coreset, "giga_construct", timed)
         records = run_stream(make_plan(MODE_CORESET,
                                        coreset_budgets=(20, 40, 80)))
         for step in (0, 1):
             at = [r for r in records if r.step == step]
-            frames = [r.reduction_seconds
-                      - r.added_coreset.construction.wall_clock_seconds
-                      for r in at]
+            assert [r.reduction_seconds for r in at] == [
+                r.added_coreset.construction.wall_clock_seconds for r in at]
+            frames = [r.reduction_seconds - walk
+                      for r, walk in zip(at, walks[3 * step:3 * step + 3])]
             assert frames[0] > 0.0
             assert frames == pytest.approx([frames[0]] * 3, abs=1e-12)
 
@@ -313,7 +323,7 @@ class TestExperimentArms:
                                    "modes": ["coreset_aggregate"]})
         _, clean = run_stream_experiment(config, None)
 
-        real = stream.hmc_sample
+        real = inference.hmc_sample
         trained = []
 
         def failing(model, **kwargs):
@@ -323,7 +333,7 @@ class TestExperimentArms:
                 raise NumericalError("injected divergence")
             return real(model, **kwargs)
 
-        monkeypatch.setattr(stream, "hmc_sample", failing)
+        monkeypatch.setattr(inference, "hmc_sample", failing)
         report, arms = run_stream_experiment(config, None)
 
         assert len(trained) == 3  # budget 30 does not train at step 1
@@ -352,6 +362,6 @@ class TestExperimentArms:
         def failing(model, **kwargs):
             raise NumericalError("injected divergence")
 
-        monkeypatch.setattr(stream, "hmc_sample", failing)
+        monkeypatch.setattr(inference, "hmc_sample", failing)
         with pytest.raises(NumericalError):
             run_stream(make_plan(MODE_CORESET, coreset_budgets=(40, 80)))
