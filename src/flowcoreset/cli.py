@@ -14,7 +14,6 @@ import dataclasses
 import json
 import logging
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .coreset import compress, load_coreset, materialize, random_construct, save_coreset
@@ -68,36 +67,10 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def resolve_config(name: str) -> ExperimentConfig:
-    """A config flag is either a JSON file path or a packaged config name."""
-    path = Path(name)
-    if path.exists():
-        return load_config(path)
-    packaged = resources.files("flowcoreset") / "configs" / f"{name}.json"
-    if packaged.is_file():
-        return ExperimentConfig.from_dict(json.loads(packaged.read_text()))
-    raise ConfigError(
-        f"config not found: {name!r} is neither a file nor a packaged config")
-
-
-def _parse_budgets(text: str) -> tuple[int, ...]:
-    try:
-        budgets = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad budget list {text!r}") from exc
-    if not budgets:
-        raise ConfigError("budget list is empty")
-    return budgets
-
-
 def _configure(args) -> ExperimentConfig:
-    config = resolve_config(args.config)
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["rng_seed"] = args.seed
-    if getattr(args, "budgets", None):
-        updates["budgets"] = _parse_budgets(args.budgets)
-    return dataclasses.replace(config, **updates) if updates else config
+    overrides = {"rng_seed": args.seed, "budgets": getattr(args, "budgets", None)}
+    return dataclasses.replace(load_config(args.config), **{
+        key: value for key, value in overrides.items() if value is not None})
 
 
 def _standardization_path(stem: str | Path) -> Path:
@@ -213,8 +186,11 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's root seed")
         if with_budgets:
-            p.add_argument("--budgets", default=None,
-                           help="override budgets, e.g. 100,500,1000")
+            p.add_argument(
+                "--budgets", default=None,
+                type=lambda text: tuple(_count(part.strip())
+                                        for part in text.split(",") if part.strip()),
+                help="override budgets, e.g. 100,500,1000")
 
     p = sub.add_parser("prepare", help="materialize train/test datasets")
     add_config_flags(p, with_budgets=False)

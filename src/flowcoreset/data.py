@@ -249,11 +249,25 @@ def fit_standardization(train: Dataset) -> StandardizationParams:
 
 
 def apply_standardization(data: Dataset, params: StandardizationParams) -> Dataset:
-    """Apply fitted params; never refits on the incoming data."""
+    """Apply fitted params; never refits on the incoming data.
+
+    Raises:
+        DataError: a feature count other than the fitted one, or a column
+            that lies so far outside the fitted frame that it overflows
+            float64 when standardized, naming it.
+    """
     if not np.shape(params.mean) == np.shape(params.scale) == (data.f,):
         raise DataError(f"standardization fitted on {np.size(params.mean)} "
                         f"features, data has {data.f}")
-    return Dataset((data.x - params.mean) / params.scale, data.y)
+    with np.errstate(all="ignore"):
+        x = (data.x - params.mean) / params.scale
+    try:
+        return Dataset(x, data.y)
+    except DataError:  # data is finite, so only the quotient can fail
+        column = int(np.flatnonzero(~np.isfinite(x).all(axis=0))[0])
+        raise DataError(f"feature column {column} overflows float64 when "
+                        "standardized: it lies too far outside the fitted "
+                        "frame") from None
 
 
 def generate_synthetic(

@@ -20,8 +20,10 @@ from __future__ import annotations
 import csv
 import json
 import platform
+import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from importlib import resources
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -78,6 +80,25 @@ def _require_count(value, name: str, least: int = 1):
              f"{name} must be a whole number >= {least}, got {value!r}")
 
 
+def _require_real(value, name: str, positive: bool = False):
+    """A real setting float64 holds, >= 0 or, if `positive`, > 0: bools,
+    strings, NaN and infinities are refused."""
+    _require(isinstance(value, Real) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max
+             and (value > 0 if positive else value >= 0),
+             f"{name} must be a finite number {'>' if positive else '>='} 0, "
+             f"got {value!r}")
+
+
+def _require_names(value, name: str, empty: bool = False):
+    """A JSON list of strings, nonempty unless `empty`: a bare string is
+    refused, never split into characters."""
+    _require(isinstance(value, tuple) and (empty or len(value) >= 1)
+             and all(isinstance(item, str) for item in value),
+             f"{name} must be a {'' if empty else 'nonempty '}list of strings, "
+             f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Per-dataset generation counts for the synthetic source."""
@@ -94,7 +115,7 @@ class SyntheticSpec:
         for name in ("n_datasets", "train_pos", "train_neg", "test_pos",
                      "test_neg", "features"):
             _require_count(getattr(self, name), name)
-        _require(self.separation >= 0.0, "separation must be nonnegative")
+        _require_real(self.separation, "separation")
 
 
 @dataclass(frozen=True)
@@ -111,15 +132,22 @@ class CsvSpec:
     test_neg: int
 
     def __post_init__(self):
-        _require(len(self.paths) >= 1, "csv source needs at least one path")
+        _require_names(self.paths, "paths")
+        _require(isinstance(self.label_column, str),
+                 f"label_column must be a string, got {self.label_column!r}")
+        _require(isinstance(self.label_map, dict),
+                 f"label_map must be a JSON object, got {self.label_map!r}")
+        if self.feature_columns is not None:
+            _require_names(self.feature_columns, "feature_columns")
         for name in ("train_pos", "train_neg", "test_pos", "test_neg"):
             _require_count(getattr(self, name), name)
+        try:
+            self.schema()
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
 
     def schema(self) -> CsvSchema:
-        columns = list(self.feature_columns) if self.feature_columns else None
-        return CsvSchema(feature_columns=columns,
-                         label_column=self.label_column,
-                         label_map=dict(self.label_map))
+        return CsvSchema(self.feature_columns, self.label_column, self.label_map)
 
 
 @dataclass(frozen=True)
@@ -142,11 +170,13 @@ class StreamSpec:
     eval_scope: str = "union"
 
     def __post_init__(self):
-        _require(len(self.modes) >= 1, "stream needs at least one mode")
+        _require_names(self.modes, "modes")
         for mode in self.modes:
             _require(mode in MODES, f"unknown stream mode {mode!r}")
         _require(self.eval_scope in EVAL_SCOPES,
                  f"unknown eval scope {self.eval_scope!r}")
+        _require_names(self.batch_paths, "batch_paths", empty=True)
+        _require_names(self.test_paths, "test_paths", empty=True)
         if self.batch_paths:
             _require(len(self.batch_paths) == len(self.test_paths),
                      "need one test path per batch path")
@@ -154,6 +184,16 @@ class StreamSpec:
             for name in ("n_batches", "batch_pos", "batch_neg", "test_pos",
                          "test_neg"):
                 _require_count(getattr(self, name), name)
+
+
+@dataclass(frozen=True)
+class SvmSpec:
+    """The SVM baseline's regularizer weight."""
+
+    reg: float = 1e-3
+
+    def __post_init__(self):
+        _require_real(self.reg, "svm.reg", positive=True)
 
 
 @dataclass(frozen=True)
@@ -165,7 +205,7 @@ class ExperimentConfig:
     weighting: str = WEIGHTING_LAPLACE
     hmc: dict = field(default_factory=dict)
     predict_draws: int = 1000
-    svm_reg: float = 1e-3
+    svm: SvmSpec = field(default_factory=SvmSpec)
     repetitions: int = 1
     rng_seed: int = 0
     persist_posteriors: bool = False
@@ -173,7 +213,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _require_count(self.embedding_dim, "embedding_dim")
-        _require(len(self.budgets) >= 1, "budgets must be nonempty")
+        _require(isinstance(self.budgets, tuple) and len(self.budgets) >= 1,
+                 f"budgets must be a nonempty list, got {self.budgets!r}")
         for budget in self.budgets:
             _require_count(budget, "each budget")
         _require(list(self.budgets) == sorted(set(self.budgets)),
@@ -182,11 +223,9 @@ class ExperimentConfig:
             _require_count(self.random_size, "random_size")
         _require(self.weighting in (WEIGHTING_LAPLACE, WEIGHTING_PRIOR),
                  f"unknown weighting {self.weighting!r}")
+        _require(isinstance(self.hmc, dict), "hmc must be a JSON object")
         check_sampler_settings(self.hmc)
         _require_count(self.predict_draws, "predict_draws")
-        _require(isinstance(self.svm_reg, Real)
-                 and not isinstance(self.svm_reg, bool) and self.svm_reg > 0.0,
-                 f"svm reg must be a positive number, got {self.svm_reg!r}")
         _require_count(self.repetitions, "repetitions")
         _require_count(self.rng_seed, "rng_seed", least=0)
         _require(isinstance(self.persist_posteriors, bool),
@@ -210,80 +249,71 @@ class ExperimentConfig:
         out = asdict(self)
         kind = "synthetic" if isinstance(self.source, SyntheticSpec) else "csv"
         out["source"] = {"kind": kind, **out["source"]}
-        out["svm"] = {"reg": out.pop("svm_reg")}
         return out
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - set(_FIELD_KEYS) - set(_SECTION_KEYS)
-        _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-        _require(isinstance(raw.get("source"), dict),
-                 "config needs a source section, a JSON object")
-        for name in ("stream", "hmc", "svm"):
-            _require(isinstance(raw.get(name) or {}, dict),
-                     f"{name} section must be a JSON object")
-        # Wrong value types surface as TypeError/ValueError from the
-        # conversions and the spec checks below.
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        """Read the JSON form: `_section` reads each section and its spec
+        checks every field. A null or empty hmc, svm or stream means none.
+        A TypeError or ValueError the checks let through, such as a missing
+        source count, still ends as a ConfigError."""
         try:
-            return cls._from_sections(raw)
+            settings = _section(cls, raw, "config")
+            source = settings.get("source")
+            kind = source.get("kind") if isinstance(source, dict) else None
+            spec = {"synthetic": SyntheticSpec, "csv": CsvSpec}.get(kind)
+            _require(spec is not None, "source must be a JSON object of kind "
+                     f"synthetic or csv, got kind {kind!r}")
+            source = {key: source[key] for key in source if key != "kind"}
+            svm, stream = settings.get("svm") or {}, settings.get("stream")
+            settings["source"] = spec(**_section(spec, source, "source"))
+            settings["svm"] = SvmSpec(**_section(SvmSpec, svm, "svm"))
+            settings["stream"] = (
+                StreamSpec(**_section(StreamSpec, stream, "stream"))
+                if stream else None)
+            settings["hmc"] = settings.get("hmc") or {}
+            return cls(**settings)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
 
-    @classmethod
-    def _from_sections(cls, raw: dict) -> "ExperimentConfig":
-        source_raw = dict(raw["source"])
-        kind = source_raw.pop("kind", None)
-        if kind == "synthetic":
-            source: SyntheticSpec | CsvSpec = SyntheticSpec(**source_raw)
-        elif kind == "csv":
-            source_raw["paths"] = tuple(source_raw.get("paths", ()))
-            columns = source_raw.get("feature_columns")
-            source_raw["feature_columns"] = tuple(columns) if columns else None
-            source = CsvSpec(**source_raw)
+
+# Retired keys, as "section.key", or "key" at the top level. Older configs
+# and run directories still carry them, so each is accepted as the whole
+# number >= 1 it had to be while it was live, then dropped.
+_RETIRED = ("parallelism", "svm.epochs")
+
+
+def _section(cls, raw, name: str) -> dict:
+    """The keyword arguments config section `name` gives `cls`.
+
+    The section must be a JSON object whose keys are fields of `cls` or
+    retired keys. Its JSON lists, and only those, become tuples; every other
+    value passes as JSON gave it, for `cls` to check.
+    """
+    _require(isinstance(raw, dict), f"{name} must be a JSON object")
+    prefix = "" if name == "config" else f"{name}."
+    settings = {}
+    for key, value in raw.items():
+        if prefix + key in _RETIRED:
+            _require_count(value, prefix + key)
         else:
-            raise ConfigError(f"source kind must be synthetic or csv, got {kind!r}")
-
-        stream = None
-        if raw.get("stream"):
-            stream_raw = dict(raw["stream"])
-            stream_raw["modes"] = tuple(stream_raw.get("modes", ()))
-            stream_raw["batch_paths"] = tuple(stream_raw.get("batch_paths", ()))
-            stream_raw["test_paths"] = tuple(stream_raw.get("test_paths", ()))
-            stream = StreamSpec(**stream_raw)
-
-        settings = {name: raw[name] for name in _FIELD_KEYS if name in raw}
-        if "budgets" in settings:
-            settings["budgets"] = tuple(settings["budgets"])
-        settings["hmc"] = dict(raw.get("hmc") or {})
-        svm = raw.get("svm") or {}
-        unknown = set(svm) - {"epochs", "reg"}
-        _require(not unknown, f"unknown svm settings: {sorted(unknown)}")
-        _require_count(svm.get("epochs", 1), "svm epochs")
-        settings.update({f"svm_{key}": svm[key] for key in svm if key != "epochs"})
-        return cls(source=source, stream=stream, **settings)
+            settings[key] = tuple(value) if isinstance(value, list) else value
+    unknown = sorted(set(settings) - {spec.name for spec in fields(cls)})
+    _require(not unknown, f"unknown {name} keys: {unknown}")
+    return settings
 
 
-# Top-level config keys that set one field each. Values pass as JSON gives
-# them (budgets as a tuple, a null hmc as no settings) and the dataclass
-# checks their types, so each default and each check lives there alone.
-# "parallelism" and "svm.epochs" are retired; older configs and run
-# directories still carry them, so they are accepted and ignored (epochs
-# still only as a whole number >= 1).
-_FIELD_KEYS = ("embedding_dim", "budgets", "random_size", "weighting", "hmc",
-               "predict_draws", "repetitions", "rng_seed", "persist_posteriors")
-_SECTION_KEYS = ("source", "svm", "stream", "parallelism")
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+def load_config(name: str | Path) -> ExperimentConfig:
+    """The config in the JSON file `name`, or else the packaged config of
+    that name (sim1, sim2)."""
+    path = Path(name)
+    if not path.is_file():
+        path = resources.files("flowcoreset") / "configs" / f"{name}.json"
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config {str(name)!r} is neither a JSON file nor a "
+                          f"packaged config ({exc})") from exc
     return ExperimentConfig.from_dict(raw)
 
 
@@ -522,7 +552,7 @@ def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
     try:
         if condition == "svm":
             started = time.perf_counter()
-            theta = svm_train(prepared.train_std, reg=config.svm_reg)
+            theta = svm_train(prepared.train_std, reg=config.svm.reg)
             row["train_seconds"] = time.perf_counter() - started
             row["accuracy"] = svm_accuracy(theta, prepared.test_std)
             return row

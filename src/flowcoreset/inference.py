@@ -15,6 +15,7 @@ deterministic non-Bayesian reference point.
 
 import json
 import math
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, fields
@@ -434,7 +435,7 @@ def check_sampler_settings(settings: dict) -> None:
                 or isinstance(value, Integral if count else Real)
                 and not isinstance(value, bool)
                 and (1 <= value <= _MAX_COUNT if count
-                     else -math.inf < value < math.inf)):
+                     else abs(value) <= sys.float_info.max)):
             kind = "whole number in [1, 2**53]" if count else "finite number"
             raise ConfigError(f"sampler setting {name}={value!r} is not a {kind}")
     s = {**SAMPLER_DEFAULTS, **settings}

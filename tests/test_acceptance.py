@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from flowcoreset.cli import resolve_config
 from flowcoreset.coreset import (
     frankwolfe_construct,
     geodesic_step_size,
@@ -23,7 +22,7 @@ from flowcoreset.coreset import (
 )
 from flowcoreset.data import generate_synthetic, stratified_split
 from flowcoreset.embed import build_projection_basis, embed_log_likelihoods
-from flowcoreset.experiments import _prepare_dataset, run_offline
+from flowcoreset.experiments import _prepare_dataset, load_config, run_offline
 from flowcoreset.inference import (
     WeightedBLRModel,
     hmc_sample,
@@ -53,7 +52,7 @@ def strip_seconds(node):
 
 @pytest.fixture(scope="module")
 def sim1_config():
-    return resolve_config("sim1")
+    return load_config("sim1")
 
 
 @pytest.fixture(scope="module")

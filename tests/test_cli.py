@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import logging
+import math
 import os
 import shutil
 import subprocess
@@ -15,11 +16,11 @@ import numpy as np
 import pytest
 
 import flowcoreset
-from flowcoreset.cli import main, resolve_config
+from flowcoreset.cli import build_parser, main
 from flowcoreset.coreset import load_coreset
 from flowcoreset.data import fit_standardization, load_dataset
 from flowcoreset.errors import ConfigError, NumericalError
-from flowcoreset.experiments import OFFLINE_COLUMNS, write_rows
+from flowcoreset.experiments import OFFLINE_COLUMNS, load_config, write_rows
 
 TINY = {
     "source": {"kind": "synthetic", "n_datasets": 1, "train_pos": 15,
@@ -74,18 +75,18 @@ def full_posterior(workspace, tmp_path_factory):
 
 class TestConfigResolution:
     def test_packaged_sim1_resolves_by_name(self):
-        config = resolve_config("sim1")
+        config = load_config("sim1")
         assert config.budgets == (100, 500, 1000)
         assert config.stream is None
 
     def test_packaged_sim2_has_a_stream_section(self):
-        config = resolve_config("sim2")
+        config = load_config("sim2")
         assert config.stream is not None
         assert config.stream.n_batches == 5
 
     def test_unknown_name_is_a_config_error(self):
         with pytest.raises(ConfigError):
-            resolve_config("sim99")
+            load_config("sim99")
 
     def test_to_dict_reproduces_the_packaged_configs(self):
         """config.json, written from to_dict, keeps the packaged layout."""
@@ -94,7 +95,7 @@ class TestConfigResolution:
             return json.loads(path.read_text())
 
         def written(name):
-            return json.loads(json.dumps(resolve_config(name).to_dict()))
+            return json.loads(json.dumps(load_config(name).to_dict()))
 
         assert written("sim1") == packaged("sim1")
         sim2 = packaged("sim2")
@@ -106,7 +107,7 @@ class TestConfigResolution:
         spec = dict(TINY)
         spec["rng_seed"] = 7
         path.write_text(json.dumps(spec))
-        assert resolve_config(str(path)).rng_seed == 7
+        assert load_config(str(path)).rng_seed == 7
 
 
 class TestExitCodes:
@@ -137,6 +138,8 @@ class TestExitCodes:
         pytest.param({"total_samples": 1, "burn_frac": 0.9},
                      id="no-retained-draw"),
         pytest.param({"total_samples": 10**400}, id="total_samples-overflow"),
+        pytest.param({"initial_step_size": 10**400},
+                     id="initial_step_size-overflow"),
     ])
     def test_mistyped_sampler_setting_exits_before_any_work(self, tmp_path,
                                                             caplog, hmc):
@@ -183,10 +186,75 @@ class TestExitCodes:
         assert "Traceback" not in caplog.text + capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,override,message", [
+        pytest.param("csv", {"paths": "pool.csv"},
+                     "paths must be a nonempty list", id="paths-string"),
+        pytest.param("csv", {"feature_columns": "f0"},
+                     "feature_columns must be a nonempty list",
+                     id="feature_columns-string"),
+        pytest.param("csv", {"label_map": [1]},
+                     "label_map must be a JSON object", id="label_map-list"),
+        pytest.param("csv", {"label_column": 5},
+                     "label_column must be a string", id="label_column-number"),
+        pytest.param("csv", {"label_map": {"1": 5}},
+                     "label_map['1'] must be +1 or -1", id="label_map-value-5"),
+        pytest.param("source", {"speed": 1}, "unknown source keys: ['speed']",
+                     id="source-unknown-key"),
+        pytest.param("stream", {"speed": 1}, "unknown stream keys: ['speed']",
+                     id="stream-unknown-key"),
+        pytest.param("stream", {"modes": "pool_full"},
+                     "modes must be a nonempty list", id="modes-string"),
+        pytest.param(None, {"budgets": "100"},
+                     "budgets must be a nonempty list", id="budgets-string"),
+        pytest.param("source", {"separation": math.inf},
+                     "separation must be a finite number", id="separation-inf"),
+        pytest.param(None, {"svm": {"reg": math.inf}},
+                     "svm.reg must be a finite number", id="svm-reg-inf"),
+    ])
+    def test_malformed_config_exits_one_before_any_work(
+            self, workspace, tmp_path, capsys, caplog, section, override,
+            message):
+        """A value of the wrong shape is a config error naming its key:
+        never split into characters, a data error or a raw exception."""
+        _, _, train_csv, _ = workspace
+        spec = {**TINY, "stream": {"modes": ["pool_full"], "n_batches": 2,
+                                   "batch_pos": 15, "batch_neg": 75,
+                                   "test_pos": 25, "test_neg": 25}}
+        if section == "csv":
+            spec.update(stream=None, source={
+                "kind": "csv", "paths": [str(train_csv)],
+                "label_column": "label", "label_map": {"1": 1, "-1": -1},
+                "feature_columns": None, "train_pos": 5, "train_neg": 5,
+                "test_pos": 5, "test_neg": 5, **override})
+        elif section:
+            spec[section] = {**spec[section], **override}
+        else:
+            spec.update(override)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        code = main(["offline", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert f"config error: {message}" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not (out / "config.json").exists()
+
     def test_bad_budget_override_exits_one(self, tmp_path, capsys):
         code = main(["offline", "--config", "sim1", "--budgets", "a,b",
                      "--out", str(tmp_path / "run")])
         assert code == 1
+        capsys.readouterr()
+
+    def test_budget_override_reads_each_item_as_a_count(self, tmp_path,
+                                                        capsys):
+        args = build_parser().parse_args(["offline", "--config", "sim1",
+                                          "--budgets", "100, 500",
+                                          "--out", "run"])
+        assert args.budgets == (100, 500)
+        for text in ("0", "100,1.5", ","):
+            assert main(["offline", "--config", "sim1", "--budgets", text,
+                         "--out", str(tmp_path / "run")]) == 1
+        assert not (tmp_path / "run").exists()
         capsys.readouterr()
 
     def test_missing_data_file_exits_two(self, tmp_path, capsys):
@@ -279,6 +347,25 @@ class TestExitCodes:
         assert "data error:" in caplog.text
         assert "Traceback" not in caplog.text + capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eval_far_outside_the_trained_frame_exits_two(self, tmp_path,
+                                                          capsys, caplog):
+        """A test cell that overflows float64 in the trained frame (scale
+        5e-11) is a data error naming its column, with no warning."""
+        train = tmp_path / "train.csv"
+        train.write_text("f0,label\n1.0,-1\n1.0,-1\n"
+                         "1.0000000001,1\n1.0000000001,1\n")
+        test = tmp_path / "test.csv"
+        test.write_text("f0,label\n1e300,1\n1.0,-1\n")
+        stem = tmp_path / "post"
+        assert main(["train", "--data", str(train), "--out", str(stem),
+                     *TRAIN_FLAGS]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--posterior", str(stem),
+                     "--data", str(test)]) == 2
+        assert "data error: feature column 0 overflows" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["coreset-no-weight", "coreset-not-json",
                                       "posterior-sidecar-empty",

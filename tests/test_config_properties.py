@@ -1,6 +1,8 @@
 """Properties: every whole-number config setting refuses floats, strings
-and bools with ConfigError, wherever in the config it sits, and every real
-sampler setting refuses values outside its range when the config loads."""
+and bools with ConfigError, wherever in the config it sits, every real
+sampler setting refuses values outside its range, and every list-, string-
+or object-valued key refuses a JSON value of another shape, all when the
+config loads."""
 
 import json
 import math
@@ -87,5 +89,66 @@ def test_out_of_range_sampler_value_is_a_config_error(setting):
     raw = json.loads(json.dumps(BASE))
     key, value = setting
     raw["hmc"][key] = value
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(raw)
+
+
+# A csv source with a file-based stream: every list-valued key is present.
+CSV_BASE = {
+    **BASE,
+    "source": {"kind": "csv", "paths": ["pool.csv"], "label_column": "label",
+               "label_map": {"1": 1, "-1": -1}, "feature_columns": ["f0", "f1"],
+               "train_pos": 15, "train_neg": 75, "test_pos": 30,
+               "test_neg": 30},
+    "stream": {"modes": ["pool_full"], "batch_paths": ["b0.csv"],
+               "test_paths": ["t0.csv"]},
+}
+
+TEXT = st.text()
+NUMBERS = st.one_of(st.integers(), st.floats())
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, TEXT)
+OBJECTS = st.dictionaries(TEXT, SCALARS, max_size=3)
+
+
+def holding(items, wrong):
+    """Lists of `items` with one `wrong` element among them."""
+    return st.tuples(st.lists(items, max_size=2), wrong,
+                     st.lists(items, max_size=2)).map(
+        lambda parts: [*parts[0], parts[1], *parts[2]])
+
+
+NOT_NAMES = st.one_of(TEXT, NUMBERS, st.booleans(), OBJECTS, holding(
+    TEXT, st.one_of(st.none(), st.booleans(), NUMBERS, OBJECTS,
+                    st.lists(TEXT, max_size=2))))
+
+# Values of the wrong JSON shape for each key that takes a list, a string
+# or an object.
+WRONG_SHAPES = {
+    **{("source", key): NOT_NAMES for key in ("paths", "feature_columns")},
+    **{("stream", key): NOT_NAMES for key in ("modes", "batch_paths",
+                                              "test_paths")},
+    ("source", "label_column"): st.one_of(NUMBERS, st.booleans(), OBJECTS,
+                                          st.lists(SCALARS, max_size=3)),
+    ("source", "label_map"): st.one_of(TEXT, NUMBERS, st.booleans(),
+                                       st.lists(SCALARS, max_size=3)),
+    (None, "budgets"): st.one_of(TEXT, NUMBERS, st.booleans(), OBJECTS,
+                                 holding(st.integers(1, 100), TEXT)),
+}
+
+
+def test_csv_base_config_loads():
+    config = ExperimentConfig.from_dict(json.loads(json.dumps(CSV_BASE)))
+    assert config.source.feature_columns == ("f0", "f1")
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(setting=st.sampled_from(sorted(WRONG_SHAPES, key=str)).flatmap(
+    lambda key: st.tuples(st.just(key), WRONG_SHAPES[key])))
+def test_wrong_shaped_value_is_a_config_error(setting):
+    """A value of the wrong JSON shape is refused when the config loads, never
+    split into characters or left to fail when the data is read."""
+    (section, key), value = setting
+    raw = json.loads(json.dumps(CSV_BASE))
+    (raw[section] if section else raw)[key] = value
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(raw)

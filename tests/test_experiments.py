@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,19 @@ class TestConfig:
                     "batch_pos": 1, "batch_neg": 1,
                     "test_pos": 1, "test_neg": 1}},
         {"svm": {"epochs": 0}},
+        {"parallelism": 0},
+        {"parallelism": "x"},
+        {"source": {**TINY["source"], "separation": math.inf}},
+        {"source": {**TINY["source"], "separation": math.nan}},
+        {"source": {**TINY["source"], "separation": -1.0}},
+        {"source": {**TINY["source"], "separation": 10**400}},
+        {"source": {**TINY["source"], "separation": "4"}},
+        {"source": {**TINY["source"], "separation": True}},
+        {"svm": {"reg": math.inf}},
+        {"svm": {"reg": math.nan}},
+        {"svm": {"reg": 0.0}},
+        {"svm": {"reg": 10**400}},
+        {"svm": {"reg": True}},
     ])
     def test_malformed_values_are_config_errors(self, override):
         with pytest.raises(ConfigError):
