@@ -60,11 +60,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _count(text: str) -> int:
-    """argparse type of a count flag: a whole number of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {text!r}")
+def _count(text: str, least: int = 1) -> int:
+    """argparse type of a count flag, a whole number >= `least`; `_seed`'s is 0."""
+    if not text.isdecimal() or int(text) < least:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= {least}, got {text!r}")
     return int(text)
+
+
+def _seed(text: str) -> int:
+    return _count(text, least=0)
 
 
 def _configure(args) -> ExperimentConfig:
@@ -183,7 +187,7 @@ def build_parser() -> _Parser:
     def add_config_flags(p, with_budgets=True):
         p.add_argument("--config", required=True,
                        help="config JSON path or packaged name (sim1, sim2)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the config's root seed")
         if with_budgets:
             p.add_argument(
@@ -207,7 +211,7 @@ def build_parser() -> _Parser:
                    help="embedding dimension for giga/fw")
     p.add_argument("--weighting", choices=("laplace", "prior"),
                    default="laplace")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_coreset)
 
     p = sub.add_parser("train", help="sample a posterior, optionally "
@@ -215,7 +219,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--coreset", default=None)
     p.add_argument("--out", required=True, help="output stem for .npy/.json")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     for name, default in SAMPLER_DEFAULTS.items():  # hmc_sample checks them
         p.add_argument("--" + name.replace("_", "-"), default=default,
                        type=int if isinstance(default, int) else float)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, shown
 
 logger = logging.getLogger(__name__)
 
@@ -98,8 +98,9 @@ class CsvSchema:
 
     def __post_init__(self):
         for raw, mapped in self.label_map.items():
-            if mapped not in (-1, 1):
-                raise DataError(f"label_map[{raw!r}] must be +1 or -1, got {mapped!r}")
+            if type(mapped) is not int or mapped not in (-1, 1):  # not true or 1.0
+                raise DataError(
+                    f"label_map[{shown(raw)}] must be +1 or -1, got {shown(mapped)}")
 
 
 def _parse_cell(cell: str, row_num: int, column: str) -> float:

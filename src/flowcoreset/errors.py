@@ -4,6 +4,13 @@ The CLI maps these onto process exit codes, so raising the right type
 matters: ConfigError -> 1, DataError -> 2, NumericalError -> 3.
 """
 
+import json
+
+
+def shown(value) -> str:
+    """A setting as error messages show it: as JSON, the way a config writes it."""
+    return json.dumps(value, default=repr)
+
 
 class FlowCoresetError(Exception):
     """Base class for all package errors."""

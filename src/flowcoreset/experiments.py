@@ -43,7 +43,7 @@ from .data import (
     stratified_split,
 )
 from .embed import WEIGHTING_LAPLACE, WEIGHTING_PRIOR
-from .errors import ConfigError, DataError, FlowCoresetError
+from .errors import ConfigError, DataError, FlowCoresetError, shown
 from .inference import (
     WeightedBLRModel,
     check_sampler_settings,
@@ -77,7 +77,7 @@ def _require_count(value, name: str, least: int = 1):
     are refused, never truncated or parsed."""
     _require(isinstance(value, Integral) and not isinstance(value, bool)
              and value >= least,
-             f"{name} must be a whole number >= {least}, got {value!r}")
+             f"{name} must be a whole number >= {least}, got {shown(value)}")
 
 
 def _require_real(value, name: str, positive: bool = False):
@@ -87,7 +87,7 @@ def _require_real(value, name: str, positive: bool = False):
              and abs(value) <= sys.float_info.max
              and (value > 0 if positive else value >= 0),
              f"{name} must be a finite number {'>' if positive else '>='} 0, "
-             f"got {value!r}")
+             f"got {shown(value)}")
 
 
 def _require_names(value, name: str, empty: bool = False):
@@ -96,7 +96,7 @@ def _require_names(value, name: str, empty: bool = False):
     _require(isinstance(value, tuple) and (empty or len(value) >= 1)
              and all(isinstance(item, str) for item in value),
              f"{name} must be a {'' if empty else 'nonempty '}list of strings, "
-             f"got {value!r}")
+             f"got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,9 @@ class CsvSpec:
     def __post_init__(self):
         _require_names(self.paths, "paths")
         _require(isinstance(self.label_column, str),
-                 f"label_column must be a string, got {self.label_column!r}")
+                 f"label_column must be a string, got {shown(self.label_column)}")
         _require(isinstance(self.label_map, dict),
-                 f"label_map must be a JSON object, got {self.label_map!r}")
+                 f"label_map must be a JSON object, got {shown(self.label_map)}")
         if self.feature_columns is not None:
             _require_names(self.feature_columns, "feature_columns")
         for name in ("train_pos", "train_neg", "test_pos", "test_neg"):
@@ -172,9 +172,9 @@ class StreamSpec:
     def __post_init__(self):
         _require_names(self.modes, "modes")
         for mode in self.modes:
-            _require(mode in MODES, f"unknown stream mode {mode!r}")
+            _require(mode in MODES, f"unknown stream mode {shown(mode)}")
         _require(self.eval_scope in EVAL_SCOPES,
-                 f"unknown eval scope {self.eval_scope!r}")
+                 f"unknown eval scope {shown(self.eval_scope)}")
         _require_names(self.batch_paths, "batch_paths", empty=True)
         _require_names(self.test_paths, "test_paths", empty=True)
         if self.batch_paths:
@@ -214,7 +214,7 @@ class ExperimentConfig:
     def __post_init__(self):
         _require_count(self.embedding_dim, "embedding_dim")
         _require(isinstance(self.budgets, tuple) and len(self.budgets) >= 1,
-                 f"budgets must be a nonempty list, got {self.budgets!r}")
+                 f"budgets must be a nonempty list, got {shown(self.budgets)}")
         for budget in self.budgets:
             _require_count(budget, "each budget")
         _require(list(self.budgets) == sorted(set(self.budgets)),
@@ -222,7 +222,7 @@ class ExperimentConfig:
         if self.random_size is not None:
             _require_count(self.random_size, "random_size")
         _require(self.weighting in (WEIGHTING_LAPLACE, WEIGHTING_PRIOR),
-                 f"unknown weighting {self.weighting!r}")
+                 f"unknown weighting {shown(self.weighting)}")
         _require(isinstance(self.hmc, dict), "hmc must be a JSON object")
         check_sampler_settings(self.hmc)
         _require_count(self.predict_draws, "predict_draws")
@@ -263,7 +263,7 @@ class ExperimentConfig:
             kind = source.get("kind") if isinstance(source, dict) else None
             spec = {"synthetic": SyntheticSpec, "csv": CsvSpec}.get(kind)
             _require(spec is not None, "source must be a JSON object of kind "
-                     f"synthetic or csv, got kind {kind!r}")
+                     f"synthetic or csv, got kind {shown(kind)}")
             source = {key: source[key] for key in source if key != "kind"}
             svm, stream = settings.get("svm") or {}, settings.get("stream")
             settings["source"] = spec(**_section(spec, source, "source"))
@@ -422,7 +422,8 @@ class _PreparedDataset:
     train_std: Dataset
     test_std: Dataset
     minority_label: float
-    coresets: dict  # condition name -> (Coreset, its CORESET_FIELDS)
+    coresets: dict  # coreset name -> (Coreset, its CORESET_FIELDS)
+    models: dict  # BLR condition -> (HMC seed tag, model, CORESET_FIELDS or {})
 
 
 # What a coreset condition's results row carries beyond the trial itself.
@@ -482,7 +483,7 @@ def prepare_datasets(config: ExperimentConfig,
 
 def _prepare_dataset(config: ExperimentConfig, index: int,
                      out: Path | None) -> _PreparedDataset:
-    """Everything reps share for one dataset: splits, embedding, coresets."""
+    """Everything reps share for one dataset: splits, coresets, models."""
     root = config.rng_seed
     train, test, dropped = _dataset_pair(config, index)
 
@@ -501,8 +502,9 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
         _save_splits(config, index, train, test, dropped, train_text, out)
 
     coresets: dict[str, tuple[Coreset, dict]] = {}
+    models = {"blr_full": ("full", WeightedBLRModel.from_dataset(train_std), {})}
 
-    def store(name: str, built: Coreset) -> None:
+    def store(name: str, condition: str, tag: str, built: Coreset) -> None:
         # What retraining from the condensed form needs: entry list with
         # weights plus the referenced raw rows. Construction diagnostics
         # carry wall-clock noise and are excluded from the byte count.
@@ -521,7 +523,7 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
                          provenance={"role": "coreset_rows",
                                      "dataset": index, "name": name})
         diag = built.construction
-        coresets[name] = (built, {
+        fields = {
             "entries": built.size,
             "minority_entries": int(np.sum(
                 train.y[built.row_indices] == minority_label)),
@@ -530,18 +532,21 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
             "reduce_seconds": diag.wall_clock_seconds,
             "residual_norm": diag.residual_norm,
             "relative_error": diag.relative_error,
-        })
+        }
+        coresets[name] = (built, fields)
+        models[condition] = (tag, WeightedBLRModel(
+            *materialize(built, {batch_id: train_std})), fields)
 
     for m, giga in zip(config.budgets, gigas):
-        store(f"giga_m{m}", giga)
+        store(f"giga_m{m}", f"blr_coreset_m{m}", f"m{m}", giga)
     size = min(config.effective_random_size, train.n)
-    store("random",
+    store("random", "blr_random", "random",
           random_construct(train.n, size, derive_seed(root, "randcs", index),
                            batch_id=batch_id))
 
     return _PreparedDataset(
-        index=index, train=train, train_std=train_std,
-        test_std=test_std, minority_label=minority_label, coresets=coresets)
+        index=index, train=train, train_std=train_std, test_std=test_std,
+        minority_label=minority_label, coresets=coresets, models=models)
 
 
 def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
@@ -557,18 +562,8 @@ def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
             row["accuracy"] = svm_accuracy(theta, prepared.test_std)
             return row
 
-        if condition == "blr_full":
-            model = WeightedBLRModel.from_dataset(prepared.train_std)
-            tag = "full"
-        else:
-            # blr_random -> "random", blr_coreset_m<m> -> "m<m>" (giga_m<m>).
-            tag = condition.removeprefix("blr_").removeprefix("coreset_")
-            built, fields = prepared.coresets[
-                tag if tag == "random" else f"giga_{tag}"]
-            model = WeightedBLRModel(
-                *materialize(built, {f"ds{index}": prepared.train_std}))
-            row.update(fields)
-
+        tag, model, fields = prepared.models[condition]
+        row.update(fields)
         posterior, row["train_seconds"], row["accuracy"] = sample_and_score(
             model, prepared.test_std,
             derive_seed(config.rng_seed, "hmc", index, tag, rep), config.hmc,

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, load_json
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, shown
 
 # MAP fit limits. Far from the mode a Newton step moves a heavily weighted
 # row's margin by about 1, so a weight of 1e29 takes ~70 steps.
@@ -429,7 +429,7 @@ def check_sampler_settings(settings: dict) -> None:
     those left out, in the ranges dual averaging needs (Hoffman & Gelman, 2014)."""
     for name, value in settings.items():
         if name not in SAMPLER_DEFAULTS:
-            raise ConfigError(f"unknown sampler setting {name!r}")
+            raise ConfigError(f"unknown sampler setting {shown(name)}")
         count = isinstance(SAMPLER_DEFAULTS[name], int)
         if not (value is None and SAMPLER_DEFAULTS[name] is None
                 or isinstance(value, Integral if count else Real)
@@ -437,7 +437,7 @@ def check_sampler_settings(settings: dict) -> None:
                 and (1 <= value <= _MAX_COUNT if count
                      else abs(value) <= sys.float_info.max)):
             kind = "whole number in [1, 2**53]" if count else "finite number"
-            raise ConfigError(f"sampler setting {name}={value!r} is not a {kind}")
+            raise ConfigError(f"sampler setting {name}={shown(value)} is not a {kind}")
     s = {**SAMPLER_DEFAULTS, **settings}
     n, burn, step = s["total_samples"], s["burn_frac"], s["initial_step_size"]
     for name, bound, ok in (
@@ -447,7 +447,7 @@ def check_sampler_settings(settings: dict) -> None:
             ("jitter", "in [0, 1)", 0 <= s["jitter"] < 1),
             ("initial_step_size", "positive or null", step is None or step > 0)):
         if not ok:
-            raise ConfigError(f"sampler setting {name}={s[name]!r} is not {bound}")
+            raise ConfigError(f"sampler setting {name}={shown(s[name])} is not {bound}")
 
 
 def predict_batch(

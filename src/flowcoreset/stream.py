@@ -12,11 +12,15 @@ A plan runs all of a mode's coreset budgets together, one arm per budget.
 Each arriving batch is compressed once for all of them: one pilot, one
 basis, one embedding and one GIGA walk, and a smaller budget's coreset is
 the walk's prefix, equal to the one a plan of that budget alone builds.
-Each budget keeps its own store and trains its own model, and the budgets
-share the step's HMC seed.
+Each budget trains its own model, and the budgets share the step's HMC
+seed.
 
-Previously stored coresets are never touched again, so each store is
-append-only. A budget's reduction time is the one `compress` sets on its
+Each arm keeps the rows it trains on, gathered once when their batch
+arrives: the pool keeps the whole batch at weight 1, a coreset or random
+arm the rows its new coreset indexes, with the coreset's weights. Earlier
+rows are never touched again, so what an arm keeps is append-only; at
+every step standardization is refit on all of it and the model retrains
+from scratch. A budget's reduction time is the one `compress` sets on its
 coreset (a random coreset's is its construction, the pool's 0), and its
 training time is the chain `inference.sample_and_score` times.
 """
@@ -28,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coreset import Coreset, aggregate, compress, materialize, random_construct
+from .coreset import Coreset, compress, materialize, random_construct
 from .data import Dataset, apply_standardization, fit_standardization
 from .embed import WEIGHTING_LAPLACE
 from .errors import ConfigError, DataError, FlowCoresetError
@@ -117,8 +121,11 @@ def _concat(datasets: list[Dataset]) -> Dataset:
 
 
 def _reduce_batch(plan: StreamPlan, step: int, batch_id: str, batch: Dataset,
-                  budgets: tuple[int, ...]) -> list[Coreset]:
-    """Compress one arriving batch to a coreset per budget."""
+                  budgets: tuple[int | None, ...]) -> list[Coreset | None]:
+    """Compress one arriving batch to a coreset per budget; the pool's one
+    arm keeps the batch whole, as None."""
+    if plan.mode == MODE_POOL:
+        return [None]
     if plan.mode == MODE_RANDOM:
         seed = derive_seed(plan.rng_seed, "reduce", step)
         return [random_construct(batch.n, min(m, batch.n), seed, batch_id=batch_id)
@@ -127,24 +134,6 @@ def _reduce_batch(plan: StreamPlan, step: int, batch_id: str, batch: Dataset,
     return compress(batch, budgets, plan.embedding_dim,
                     derive_seed(plan.rng_seed, "basis", step), plan.weighting,
                     batch_id)[2]
-
-
-def _training_set(arrived: list[Dataset], store: list[Coreset] | None,
-                  raw_batches: dict[str, Dataset]):
-    """The model an arm may train on, its frame and its stored samples.
-
-    The pool (store None) keeps every arrived row; a coreset arm keeps its
-    stored entries with their weights. Either way standardization is refit
-    on what is kept and the model retrains from scratch.
-    """
-    if store is None:
-        kept, weights = _concat(arrived), None
-    else:
-        x, y, weights = materialize(aggregate(store), raw_batches)
-        kept = Dataset(x, y)
-    params = fit_standardization(kept)
-    model = WeightedBLRModel.from_dataset(apply_standardization(kept, params), weights)
-    return model, params, kept.n
 
 
 def run_stream(plan: StreamPlan,
@@ -159,30 +148,22 @@ def run_stream(plan: StreamPlan,
     each ended arm's error is stored there under its budget, the ended
     arm returns no records and the other arms run on.
     """
-    raw_batches: dict[str, Dataset] = {}
-    arrived: list[Dataset] = []
     budgets = plan.budgets
-    stores: dict = {m: None if m is None else [] for m in budgets}
+    kept: dict = {m: [] for m in budgets}  # (x, y, weights) chunks per arm
     records: dict = {m: [] for m in budgets}
     ended: dict = {}
 
     for step, (batch_id, batch) in enumerate(plan.batches):
-        raw_batches[batch_id] = batch
-        arrived.append(batch)
         live = tuple(m for m in budgets if m not in ended)
         if not live:
             break
-
-        if plan.mode == MODE_POOL:
-            reduced = [None]
-        else:
-            try:
-                reduced = _reduce_batch(plan, step, batch_id, batch, live)
-            except FlowCoresetError as exc:
-                if errors is None:
-                    raise
-                ended.update(dict.fromkeys(live, exc))
-                break
+        try:
+            reduced = _reduce_batch(plan, step, batch_id, batch, live)
+        except FlowCoresetError as exc:
+            if errors is None:
+                raise
+            ended.update(dict.fromkeys(live, exc))
+            break
 
         if plan.eval_scope == EVAL_UNION:
             test = _concat(list(plan.test_sets[: step + 1]))
@@ -192,10 +173,14 @@ def run_stream(plan: StreamPlan,
 
         for budget, added in zip(live, reduced):
             try:
-                if added is not None:
-                    stores[budget].append(added)
-                model, params, stored_samples = _training_set(
-                    arrived, stores[budget], raw_batches)
+                kept[budget].append(
+                    (batch.x, batch.y, np.ones(batch.n)) if added is None
+                    else materialize(added, {batch_id: batch}))
+                x, y, weights = map(np.concatenate, zip(*kept[budget]))
+                rows = Dataset(x, y)
+                params = fit_standardization(rows)
+                model = WeightedBLRModel.from_dataset(
+                    apply_standardization(rows, params), weights)
                 posterior, training_seconds, acc = sample_and_score(
                     model, apply_standardization(test, params), hmc_seed,
                     plan.hmc, plan.predict_draws)
@@ -207,7 +192,7 @@ def run_stream(plan: StreamPlan,
             records[budget].append(StepRecord(
                 step=step,
                 mode=plan.mode,
-                stored_samples=stored_samples,
+                stored_samples=rows.n,
                 reduction_seconds=(added.construction.wall_clock_seconds
                                    if added is not None else 0.0),
                 training_seconds=training_seconds,

@@ -188,28 +188,45 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("section,override,message", [
         pytest.param("csv", {"paths": "pool.csv"},
-                     "paths must be a nonempty list", id="paths-string"),
+                     'paths must be a nonempty list of strings, got "pool.csv"',
+                     id="paths-string"),
         pytest.param("csv", {"feature_columns": "f0"},
-                     "feature_columns must be a nonempty list",
-                     id="feature_columns-string"),
+                     'feature_columns must be a nonempty list of strings, '
+                     'got "f0"', id="feature_columns-string"),
+        pytest.param("csv", {"feature_columns": []},
+                     "feature_columns must be a nonempty list of strings, "
+                     "got []", id="feature_columns-empty"),
         pytest.param("csv", {"label_map": [1]},
-                     "label_map must be a JSON object", id="label_map-list"),
+                     "label_map must be a JSON object, got [1]",
+                     id="label_map-list"),
         pytest.param("csv", {"label_column": 5},
-                     "label_column must be a string", id="label_column-number"),
+                     "label_column must be a string, got 5",
+                     id="label_column-number"),
         pytest.param("csv", {"label_map": {"1": 5}},
-                     "label_map['1'] must be +1 or -1", id="label_map-value-5"),
+                     'label_map["1"] must be +1 or -1, got 5',
+                     id="label_map-value-5"),
+        pytest.param("csv", {"label_map": {"1": True, "-1": -1}},
+                     'label_map["1"] must be +1 or -1, got true',
+                     id="label_map-value-true"),
+        pytest.param("csv", {"label_map": {"1": 1, "-1": -1.0}},
+                     'label_map["-1"] must be +1 or -1, got -1.0',
+                     id="label_map-value-float"),
         pytest.param("source", {"speed": 1}, "unknown source keys: ['speed']",
                      id="source-unknown-key"),
         pytest.param("stream", {"speed": 1}, "unknown stream keys: ['speed']",
                      id="stream-unknown-key"),
         pytest.param("stream", {"modes": "pool_full"},
-                     "modes must be a nonempty list", id="modes-string"),
+                     'modes must be a nonempty list of strings, got "pool_full"',
+                     id="modes-string"),
         pytest.param(None, {"budgets": "100"},
-                     "budgets must be a nonempty list", id="budgets-string"),
+                     'budgets must be a nonempty list, got "100"',
+                     id="budgets-string"),
         pytest.param("source", {"separation": math.inf},
-                     "separation must be a finite number", id="separation-inf"),
+                     "separation must be a finite number >= 0, got Infinity",
+                     id="separation-inf"),
         pytest.param(None, {"svm": {"reg": math.inf}},
-                     "svm.reg must be a finite number", id="svm-reg-inf"),
+                     "svm.reg must be a finite number > 0, got Infinity",
+                     id="svm-reg-inf"),
     ])
     def test_malformed_config_exits_one_before_any_work(
             self, workspace, tmp_path, capsys, caplog, section, override,
@@ -308,6 +325,28 @@ class TestExitCodes:
             argv += ["--posterior", str(tmp_path / "post")]
         assert main(argv) == 1
         assert "config error:" in caplog.text
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["prepare", "offline", "stream",
+                                         "coreset", "train"])
+    @pytest.mark.parametrize("value", ["-1", "1.5"])
+    def test_seed_flag_below_zero_exits_one(self, workspace, tmp_path, capsys,
+                                            caplog, command, value):
+        """Every --seed flag takes a whole number >= 0, as the config's
+        rng_seed does, and refuses anything else before any work."""
+        _, cfg, train_csv, _ = workspace
+        if command in ("coreset", "train"):
+            argv = [command, "--data", str(train_csv),
+                    "--out", str(tmp_path / "out")]
+            if command == "coreset":
+                argv += ["--budget", "5", "--method", "random"]
+        else:
+            argv = [command, "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]
+        assert main(argv + ["--seed", value]) == 1
+        assert ("config error: argument --seed: expected a whole number >= 0, "
+                f"got '{value}'") in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag,value", [

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowcoreset import experiments
 from flowcoreset.coreset import load_coreset
 from flowcoreset.data import load_dataset
 from flowcoreset.errors import ConfigError, DataError
@@ -311,6 +312,26 @@ class TestOffline:
         assert all("NumericalError" in entry["errors"][0] for entry in blr)
         svm = [c for c in report["conditions"] if c["condition"] == "svm"]
         assert svm[0]["failures"] == 0
+
+    def test_each_condition_builds_its_model_once_per_dataset(
+            self, monkeypatch):
+        """Every repetition of a BLR condition samples the one model its
+        dataset built for it, each under its own HMC seed."""
+        trained = []  # (model, seed); holding each model keeps its id unique
+        real = experiments.sample_and_score
+
+        def recorded(model, test, rng_seed, hmc, draws):
+            trained.append((model, rng_seed))
+            return real(model, test, rng_seed, hmc, draws)
+
+        monkeypatch.setattr(experiments, "sample_and_score", recorded)
+        config = tiny_config(repetitions=3,
+                             source={**TINY["source"], "n_datasets": 1})
+        run_offline(config, None)
+        blr = [name for name in offline_conditions(config) if name != "svm"]
+        assert len(trained) == 3 * len(blr)
+        assert len({id(model) for model, _ in trained}) == len(blr)
+        assert len({seed for _, seed in trained}) == 3 * len(blr)
 
 
 class TestStreamExperiment:

@@ -206,6 +206,55 @@ class TestLearningBehavior:
         assert {"acceptance_rate", "n_divergent"} <= set(diag)
 
 
+class TestTrainingRows:
+    """Each arm trains on the rows its stored coresets index, gathered from
+    the plan's batches with the coresets' weights (the pool: every arrived
+    row at weight 1), standardized on themselves."""
+
+    @pytest.mark.parametrize("mode,budgets", [
+        (MODE_POOL, (60,)), (MODE_RANDOM, (50,)),
+        (MODE_CORESET, (20, 40, 80))])
+    def test_each_step_trains_on_its_arms_stored_rows(self, monkeypatch,
+                                                      mode, budgets):
+        models = []
+        real = stream.sample_and_score
+
+        def recorded(model, *args):
+            models.append(model)
+            return real(model, *args)
+
+        monkeypatch.setattr(stream, "sample_and_score", recorded)
+        plan = make_plan(mode, n_batches=3, coreset_budgets=budgets)
+        records = run_stream(plan)
+        # Training runs step by step, and within a step budget by budget.
+        trained = dict(zip([(step, m) for step in range(3)
+                            for m in plan.budgets], models, strict=True))
+        assert len(records) == len(trained)
+        for record in records:
+            arm = [r for r in records
+                   if r.budget == record.budget and r.step <= record.step]
+            if mode == MODE_POOL:
+                kept = [(batch.x, batch.y, np.ones(batch.n))
+                        for _, batch in plan.batches[: record.step + 1]]
+            else:
+                kept = []
+                for r in arm:
+                    built = r.added_coreset
+                    batch_id, batch = plan.batches[r.step]
+                    assert set(built.batch_ids) == {batch_id}
+                    kept.append((batch.x[built.row_indices],
+                                 batch.y[built.row_indices], built.weights))
+            rows = Dataset(np.concatenate([x for x, _, _ in kept]),
+                           np.concatenate([y for _, y, _ in kept]))
+            std = apply_standardization(rows, fit_standardization(rows))
+            model = trained[record.step, record.budget]
+            np.testing.assert_array_equal(model.x, std.x)
+            np.testing.assert_array_equal(model.y, std.y)
+            np.testing.assert_array_equal(
+                model.weights, np.concatenate([w for _, _, w in kept]))
+            assert model.n == record.stored_samples
+
+
 def assert_same_apart_from_seconds(a, b):
     """Two step records agree on everything but their *_seconds fields."""
     assert (a.step, a.mode, a.budget, a.stored_samples, a.accuracy,
