@@ -37,6 +37,7 @@ from .inference import (
     SAMPLER_DEFAULTS,
     WeightedBLRModel,
     accuracy,
+    check_sampler_settings,
     hmc_sample,
     load_posterior,
     save_posterior,
@@ -110,6 +111,8 @@ def cmd_coreset(args) -> int:
 
 
 def cmd_train(args) -> int:
+    settings = {name: getattr(args, name) for name in SAMPLER_DEFAULTS}
+    check_sampler_settings(settings)
     data, _ = load_dataset(args.data)
     # `coreset` builds in the data file's own frame, so its rows are read
     # from the data standardized the same way.
@@ -121,7 +124,6 @@ def cmd_train(args) -> int:
             *materialize(built, dict.fromkeys(built.batch_ids, std)))
     else:
         model = WeightedBLRModel.from_dataset(std)
-    settings = {name: getattr(args, name) for name in SAMPLER_DEFAULTS}
     posterior = hmc_sample(model, rng_seed=args.seed, **settings)
     save_posterior(posterior, args.out)
     _standardization_path(args.out).write_text(
@@ -220,7 +222,7 @@ def build_parser() -> _Parser:
     p.add_argument("--coreset", default=None)
     p.add_argument("--out", required=True, help="output stem for .npy/.json")
     p.add_argument("--seed", type=_seed, default=0)
-    for name, default in SAMPLER_DEFAULTS.items():  # hmc_sample checks them
+    for name, default in SAMPLER_DEFAULTS.items():  # cmd_train checks them
         p.add_argument("--" + name.replace("_", "-"), default=default,
                        type=int if isinstance(default, int) else float)
     p.set_defaults(func=cmd_train)

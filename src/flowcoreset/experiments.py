@@ -2,13 +2,15 @@
 
 The offline runner trains an SVM baseline, full-data BLR, a random-subset
 BLR baseline, and one coreset BLR per budget on each dataset, repeating
-every training with fresh seeds. The streaming runner replays the same
-batches through each requested reduction mode. Both write a trial-level
-results CSV (the source of truth), and the report files are derived from
-that CSV alone, so regenerating a report never recomputes anything and is
-byte-identical across invocations. Both take a coreset's reduction
-seconds from `coreset.compress` and a model's training seconds from
-`inference.sample_and_score`, so the two grids define them alike.
+every training with fresh seeds. A BLR condition's repetitions run as one
+`inference.hmc_chains` call, and each repetition's training seconds are
+that call's wall time divided by the repetitions. The streaming runner
+replays the same batches through each requested reduction mode; its
+training seconds are the one chain `inference.sample_and_score` times.
+Both write a trial-level results CSV (the source of truth), and the report
+files are derived from that CSV alone, so regenerating a report never
+recomputes anything and is byte-identical across invocations. Both take a
+coreset's reduction seconds from `coreset.compress`.
 
 Every random draw descends from the config's root seed through named
 derivation paths, so two runs with the same config agree everywhere except
@@ -43,12 +45,13 @@ from .data import (
     stratified_split,
 )
 from .embed import WEIGHTING_LAPLACE, WEIGHTING_PRIOR
-from .errors import ConfigError, DataError, FlowCoresetError, shown
+from .errors import ConfigError, DataError, FlowCoresetError, NumericalError, shown
 from .inference import (
     WeightedBLRModel,
     check_sampler_settings,
-    sample_and_score,
+    hmc_chains,
     save_posterior,
+    score_posterior,
     svm_accuracy,
     svm_train,
 )
@@ -549,8 +552,26 @@ def _prepare_dataset(config: ExperimentConfig, index: int,
         minority_label=minority_label, coresets=coresets, models=models)
 
 
+def _train_repetitions(config: ExperimentConfig, prepared: _PreparedDataset,
+                       condition: str) -> list[tuple]:
+    """Each repetition of a BLR condition as (its posterior, or the
+    NumericalError that ended its chain; its seconds). The repetitions run
+    as one `hmc_chains` call, each under its own seed, and share its wall
+    time equally."""
+    tag, model, _ = prepared.models[condition]
+    seeds = [derive_seed(config.rng_seed, "hmc", prepared.index, tag, rep)
+             for rep in range(config.repetitions)]
+    started = time.perf_counter()
+    chains = hmc_chains(model, seeds, **config.hmc)
+    seconds = (time.perf_counter() - started) / len(seeds)
+    return [(chain, seconds) for chain in chains]
+
+
 def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
-               condition: str, rep: int, out: Path | None) -> dict:
+               condition: str, rep: int, trained: dict,
+               out: Path | None) -> dict:
+    """One results row. `trained` maps each BLR condition to what
+    `_train_repetitions` gave it."""
     index = prepared.index
     row: dict = {"dataset": index, "condition": condition, "repetition": rep,
                  "error": ""}
@@ -562,12 +583,13 @@ def _run_trial(config: ExperimentConfig, prepared: _PreparedDataset,
             row["accuracy"] = svm_accuracy(theta, prepared.test_std)
             return row
 
-        tag, model, fields = prepared.models[condition]
-        row.update(fields)
-        posterior, row["train_seconds"], row["accuracy"] = sample_and_score(
-            model, prepared.test_std,
-            derive_seed(config.rng_seed, "hmc", index, tag, rep), config.hmc,
-            config.predict_draws)
+        row.update(prepared.models[condition][2])
+        posterior, seconds = trained[condition][rep]
+        if isinstance(posterior, NumericalError):
+            raise posterior
+        row["accuracy"] = score_posterior(posterior, prepared.test_std,
+                                          config.predict_draws)
+        row["train_seconds"] = seconds
         row["acceptance_rate"] = posterior.acceptance_rate
         row["step_size"] = posterior.step_size
         row["n_divergent"] = posterior.n_divergent
@@ -604,7 +626,9 @@ def run_offline(config: ExperimentConfig, out_dir: str | Path | None) -> dict:
     rows: list[dict] = []
     for index in range(config.n_datasets):
         prepared = _prepare_dataset(config, index, out)
-        rows.extend(_run_trial(config, prepared, condition, rep, out)
+        trained = {condition: _train_repetitions(config, prepared, condition)
+                   for condition in conditions if condition != "svm"}
+        rows.extend(_run_trial(config, prepared, condition, rep, trained, out)
                     for rep in range(config.repetitions)
                     for condition in conditions)
     report, _ = _finish_run(out, "offline", rows, config.to_dict())

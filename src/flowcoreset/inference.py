@@ -8,9 +8,12 @@ The model is slope-only logistic regression with a standard normal prior:
 Integer weights replicate samples exactly, which is what lets a small
 weighted subset stand in for the full dataset during inference. Sampling
 is plain Hamiltonian Monte Carlo with dual-averaging step size adaptation
-during burn-in. A linear SVM, the exact minimiser of the L2-regularized
-squared hinge found by Newton's method in the primal, provides a
-deterministic non-Bayesian reference point.
+during burn-in. `hmc_sample` runs one chain; `hmc_chains` runs one chain
+per seed on one model in lockstep, each chain bit for bit the one
+`hmc_sample` runs with its seed, sharing only the leapfrog's per-call
+work. A linear SVM, the exact minimiser of the L2-regularized squared
+hinge found by Newton's method in the primal, provides a deterministic
+non-Bayesian reference point.
 """
 
 import json
@@ -167,22 +170,6 @@ def log_posterior(model: WeightedBLRModel, theta: np.ndarray):
     return value, grad
 
 
-def _gradient(model: WeightedBLRModel, theta: np.ndarray, sig: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
-    """log_posterior's gradient at theta, written to out, with the n-sized
-    sig as scratch; allocates nothing. The caller holds errstate(over="ignore").
-
-    sig turns from the margins into sigmoid(-m) = 1 / (1 + exp(m)) in place:
-    an exp overflow gives 1 / inf = 0, exact to well below double precision.
-    """
-    np.dot(model._yx, theta, out=sig)
-    np.exp(sig, out=sig)
-    sig += 1.0
-    np.reciprocal(sig, out=sig)
-    np.dot(model._wyx_t, sig, out=out)
-    return np.subtract(out, theta, out=out)
-
-
 def fit_map(model: WeightedBLRModel) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mode, and the negative log posterior's Hessian diagonal there.
 
@@ -255,35 +242,86 @@ class PosteriorSamples:
 _SETTINGS = tuple(f.name for f in fields(PosteriorSamples) if f.name != "draws")
 
 
-def _leapfrog(model, theta, grad, p, eps, n_steps):
-    """n_steps >= 1 leapfrog steps under one errstate.
+def _row_buffers(model: WeightedBLRModel, k: int) -> list:
+    """The k-row leapfrog's buffers, made once per set of chains.
 
-    The n_steps - 1 interior steps take the gradient from `_gradient` in
-    one n-buffer and one f-buffer allocated per call, and move theta and
-    p in place. Only the last step calls log_posterior, for the value.
+    theta, p, grad, eps and scratch are (k, f), sig is (k, n); a row's eps
+    repeats its step size, so that every update is one same-shape call.
+    Entry a of the list holds the first a rows of (views, theta, p, grad,
+    eps, sig, scratch), views being each row's own (theta, sig, grad), so
+    that no step slices them again.
+    """
+    theta, p, grad, eps, scratch = (np.empty((k, model.f)) for _ in range(5))
+    sig = np.empty((k, model.n))
+    views = list(zip(theta, sig, grad))
+    return [(views[:a], theta[:a], p[:a], grad[:a], eps[:a], sig[:a], scratch[:a])
+            for a in range(k + 1)]
+
+
+def _gradient(model: WeightedBLRModel, views: list, theta: np.ndarray,
+              sig: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log_posterior's gradient at each row of theta, written to that row of
+    out, with sig's rows as scratch; allocates nothing. views holds each
+    row's (theta, sig, out) views. The caller holds errstate(over="ignore").
+
+    Each row's two matrix-vector products are its own gemv calls, so a row
+    gets the gradient it would get alone; the passes between them run once
+    over all rows. sig turns from the margins into sigmoid(-m) =
+    1 / (1 + exp(m)) in place: an exp overflow gives 1 / inf = 0, exact to
+    well below double precision.
+    """
+    for row, margins, _ in views:
+        np.dot(model._yx, row, out=margins)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    for _, s, grad in views:
+        np.dot(model._wyx_t, s, out=grad)
+    return np.subtract(out, theta, out=out)
+
+
+def _leapfrog(model: WeightedBLRModel, buffers: list, starts: list) -> list:
+    """One trajectory per start, in lockstep on `_row_buffers`, under one
+    errstate.
+
+    Each start is (theta, grad, p, eps, n_steps >= 1), in descending
+    n_steps, so the rows still in their interior steps are always a prefix.
+    Those take the gradient from `_gradient` and move theta and p in place,
+    one call per update for all of them. Only the last step calls
+    log_posterior, once per row, for the value. Every row ends where its
+    trajectory alone would, bit for bit.
 
     Returns:
-        (theta, logp, grad, hamiltonian) at the end; an overflowing
-        trajectory gives a non-finite hamiltonian, never a warning.
+        (theta, logp, grad, hamiltonian) at each trajectory's end; an
+        overflowing trajectory gives a non-finite hamiltonian, never a
+        warning.
     """
+    a = len(starts)
+    views, theta, p, grad, eps, sig, scratch = buffers[a]
+    for r, start in enumerate(starts):
+        theta[r], grad[r], p[r], eps[r], _ = start
+    steps = [start[4] for start in starts]
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = theta.copy()
-        p = p + 0.5 * eps * grad
-        if n_steps > 1:
-            sig, step = np.empty(model.n), np.empty(model.f)
-            for _ in range(n_steps - 1):
-                theta += eps * p
-                p += eps * _gradient(model, theta, sig, step)
-            # Free the buffer before log_posterior allocates its own.
-            del sig
-        theta += eps * p
-        logp, grad = log_posterior(model, theta)
-        p += 0.5 * eps * grad
-        return theta, logp, grad, -logp + 0.5 * float(p @ p)
+        half = 0.5 * eps
+        p += np.multiply(half, grad, out=scratch)
+        for step in range(1, steps[0]):
+            while steps[a - 1] <= step:
+                a -= 1
+            row_views, t, m, g, e, s, buf = buffers[a]
+            t += np.multiply(e, m, out=buf)
+            m += np.multiply(e, _gradient(model, row_views, t, s, g), out=buf)
+        theta += np.multiply(eps, p, out=scratch)
+        ends = [log_posterior(model, row) for row, _, _ in views]
+        for (_, end), (_, _, row) in zip(ends, views):
+            row[...] = end
+        p += np.multiply(half, grad, out=scratch)
+        return [(row.copy(), logp, end, -logp + 0.5 * float(m @ m))
+                for (logp, end), row, m in zip(ends, theta, p)]
 
 
-def _find_initial_step(model, theta, logp, grad, rng):
-    """Double or halve until one leapfrog step crosses 50% acceptance.
+def _find_initial_step(theta, logp, grad, rng):
+    """Double or halve until one leapfrog step crosses 50% acceptance; each
+    trial step is yielded as `_chain` yields a trajectory.
 
     Raises:
         NumericalError: the next step would fall below _MIN_STEP; the
@@ -294,10 +332,10 @@ def _find_initial_step(model, theta, logp, grad, rng):
     h0 = -logp + 0.5 * float(p @ p)
 
     def energy_drop(eps):
-        delta = h0 - _leapfrog(model, theta, grad, p, eps, 1)[3]
+        delta = h0 - (yield theta, grad, p, eps, 1)[3]
         return delta if math.isfinite(delta) else -math.inf
 
-    delta = energy_drop(eps)
+    delta = yield from energy_drop(eps)
     direction = 1.0 if delta > math.log(0.5) else -1.0
     for _ in range(100):
         # Loop while exp(delta)^direction > 2^-direction, in log space.
@@ -311,42 +349,25 @@ def _find_initial_step(model, theta, logp, grad, rng):
         eps *= 2.0**direction
         if eps > 1e7:
             break
-        delta = energy_drop(eps)
+        delta = yield from energy_drop(eps)
     return eps
 
 
-def hmc_sample(
-    model: WeightedBLRModel,
-    *,
-    total_samples: int = 10000,
-    burn_frac: float = 0.5,
-    thin: int = 2,
-    target_accept: float = 0.8,
-    rng_seed: int = 0,
-    leapfrog_steps: int = 20,
-    jitter: float = 0.2,
-    initial_step_size: float | None = None,
-) -> PosteriorSamples:
-    """Sample the weighted logistic posterior with HMC.
+def _chain(model, rng_seed, *, total_samples, burn_frac, thin, target_accept,
+           leapfrog_steps, jitter, initial_step_size):
+    """One HMC chain as a generator, on settings check_sampler_settings passed.
 
-    Burn-in draws adapt the step size by dual averaging toward
-    target_accept and are discarded; the post-burn-in chain runs at the
-    frozen averaged step size and is thinned by `thin`. The leapfrog count
-    per proposal is jittered uniformly by +-jitter around leapfrog_steps.
-
-    Raises:
-        ConfigError: a setting that check_sampler_settings refuses.
-        NumericalError: more than half of a recent window of proposals
-            diverged (non-finite Hamiltonian), or the initial step-size
-            search fell below 1e-10.
+    Each trajectory it needs it yields as (theta, grad, p, eps, n_steps), and
+    it is sent back the trajectory's end as (theta, logp, grad,
+    hamiltonian). Everything else, its rng draws, step-size search, dual
+    averaging and divergence watchdog, is its own. Returns its
+    PosteriorSamples; raises as hmc_sample documents.
     """
-    check_sampler_settings({k: v for k, v in locals().items() if k in SAMPLER_DEFAULTS})
-
     rng = np.random.default_rng(rng_seed)
     theta = np.zeros(model.f)
     logp, grad = log_posterior(model, theta)
 
-    eps = initial_step_size or _find_initial_step(model, theta, logp, grad, rng)
+    eps = initial_step_size or (yield from _find_initial_step(theta, logp, grad, rng))
     n_burn = int(round(total_samples * burn_frac))
 
     mu = math.log(10.0 * eps)
@@ -368,7 +389,7 @@ def hmc_sample(
         n_steps = max(1, int(round(leapfrog_steps * spread)))
         p0 = rng.normal(size=model.f)
         h0 = -logp + 0.5 * float(p0 @ p0)
-        theta1, logp1, grad1, h1 = _leapfrog(model, theta, grad, p0, eps, n_steps)
+        theta1, logp1, grad1, h1 = yield theta, grad, p0, eps, n_steps
         delta = h0 - h1 if math.isfinite(h1) else -math.inf
         divergent = not math.isfinite(delta)
         alpha = 0.0 if divergent else min(1.0, math.exp(min(delta, 0.0)))
@@ -417,6 +438,92 @@ def hmc_sample(
         rng_seed=rng_seed,
         n_divergent=n_divergent,
     )
+
+
+def _lockstep(model: WeightedBLRModel, chains: list) -> list:
+    """Run `_chain` generators on one model to their end in lockstep.
+
+    Each round takes one trajectory from every chain still running, orders
+    them by step count and runs them through one `_leapfrog` on buffers
+    made once here. A chain that raises NumericalError leaves the lockstep;
+    the others go on as before.
+
+    Returns:
+        Each chain's PosteriorSamples, or the NumericalError that ended it.
+    """
+    buffers = _row_buffers(model, len(chains))
+    results: list = [None] * len(chains)
+    pending: dict = {}  # chain index -> the trajectory it waits for
+
+    def advance(j, end):
+        try:
+            pending[j] = chains[j].send(end)
+        except StopIteration as done:
+            results[j] = done.value
+        except NumericalError as exc:
+            results[j] = exc
+
+    for j in range(len(chains)):
+        advance(j, None)
+    while pending:
+        order = sorted(pending, key=lambda j: pending[j][4], reverse=True)
+        ends = _leapfrog(model, buffers, [pending.pop(j) for j in order])
+        for j, end in zip(order, ends):
+            advance(j, end)
+    return results
+
+
+def hmc_sample(
+    model: WeightedBLRModel,
+    *,
+    total_samples: int = 10000,
+    burn_frac: float = 0.5,
+    thin: int = 2,
+    target_accept: float = 0.8,
+    rng_seed: int = 0,
+    leapfrog_steps: int = 20,
+    jitter: float = 0.2,
+    initial_step_size: float | None = None,
+) -> PosteriorSamples:
+    """Sample the weighted logistic posterior with HMC.
+
+    Burn-in draws adapt the step size by dual averaging toward
+    target_accept and are discarded; the post-burn-in chain runs at the
+    frozen averaged step size and is thinned by `thin`. The leapfrog count
+    per proposal is jittered uniformly by +-jitter around leapfrog_steps.
+
+    Raises:
+        ConfigError: a setting that check_sampler_settings refuses.
+        NumericalError: more than half of a recent window of proposals
+            diverged (non-finite Hamiltonian), or the initial step-size
+            search fell below 1e-10.
+    """
+    settings = {k: v for k, v in locals().items() if k in SAMPLER_DEFAULTS}
+    check_sampler_settings(settings)
+    (result,) = _lockstep(model, [_chain(model, rng_seed, **settings)])
+    if isinstance(result, NumericalError):
+        raise result
+    return result
+
+
+def hmc_chains(model: WeightedBLRModel, rng_seeds,
+               **settings) -> list[PosteriorSamples | NumericalError]:
+    """One HMC chain per seed on one model, run in lockstep.
+
+    Each chain is the one hmc_sample(model, rng_seed=seed, **settings)
+    runs, bit for bit in its draws, step size, acceptance rate and
+    divergences; the chains share only the leapfrog's per-call work.
+
+    Returns:
+        Per seed, in order, its PosteriorSamples or the NumericalError
+        hmc_sample would raise for it; the other chains are unaffected.
+
+    Raises:
+        ConfigError: a setting that check_sampler_settings refuses.
+    """
+    check_sampler_settings(settings)
+    settings = {**SAMPLER_DEFAULTS, **settings}
+    return _lockstep(model, [_chain(model, seed, **settings) for seed in rng_seeds])
 
 
 # hmc_sample's settings and their defaults, read from their one home: its signature.
@@ -486,12 +593,18 @@ def accuracy(
 def sample_and_score(model: WeightedBLRModel, test: Dataset, rng_seed: int, hmc: dict,
                      predict_draws: int) -> tuple[PosteriorSamples, float, float]:
     """(posterior, seconds, accuracy): HMC on model, timed alone, scored on test
-    in the model's frame by its last predict_draws draws, or all it kept."""
+    by score_posterior."""
     started = time.perf_counter()
     posterior = hmc_sample(model, rng_seed=rng_seed, **hmc)
     seconds = time.perf_counter() - started
-    draws = min(predict_draws, posterior.n_draws)
-    return posterior, seconds, accuracy(posterior, test, n_draws=draws)
+    return posterior, seconds, score_posterior(posterior, test, predict_draws)
+
+
+def score_posterior(posterior: PosteriorSamples, test: Dataset,
+                    predict_draws: int) -> float:
+    """Accuracy on test, in the posterior's frame, by its last predict_draws
+    draws, or all it kept."""
+    return accuracy(posterior, test, n_draws=min(predict_draws, posterior.n_draws))
 
 
 def svm_train(data: Dataset, reg: float = 1e-3) -> np.ndarray:

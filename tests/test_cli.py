@@ -365,6 +365,21 @@ class TestExitCodes:
         assert "Traceback" not in caplog.text + capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("readable", [False, True])
+    def test_sampler_flags_are_checked_before_the_data_is_read(
+            self, workspace, tmp_path, caplog, readable):
+        """A bad sampler flag is a config error whether or not the data file
+        exists, and no data is ingested first."""
+        _, _, train_csv, _ = workspace
+        caplog.set_level(logging.INFO, logger="flowcoreset")
+        data = train_csv if readable else tmp_path / "missing.csv"
+        code = main(["train", "--data", str(data),
+                     "--out", str(tmp_path / "post"), "--thin", "0"])
+        assert code == 1
+        assert "config error:" in caplog.text
+        assert "ingested" not in caplog.text
+        assert not (tmp_path / "post.npy").exists()
+
     @pytest.mark.parametrize("command,case", [
         ("coreset", "0-byte"), ("train", "0-byte"), ("eval", "0-byte"),
         ("coreset", "overflowing-column"), ("train", "overflowing-column"),
@@ -616,8 +631,9 @@ class TestExperimentCommands:
 
         def diverge(*args, **kwargs):
             raise NumericalError("HMC aborted: persistent divergences")
+            yield  # a generator, as each chain is
 
-        monkeypatch.setattr("flowcoreset.inference.hmc_sample", diverge)
+        monkeypatch.setattr("flowcoreset.inference._chain", diverge)
         out = tmp_path / "run"
         assert main(["offline", "--config", str(cfg), "--out", str(out)]) == 0
         assert "Logging error" not in capsys.readouterr().err

@@ -4,14 +4,15 @@ import csv
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from flowcoreset import experiments
+from flowcoreset import experiments, inference
 from flowcoreset.coreset import load_coreset
 from flowcoreset.data import load_dataset
-from flowcoreset.errors import ConfigError, DataError
+from flowcoreset.errors import ConfigError, DataError, NumericalError
 from flowcoreset.experiments import (
     ExperimentConfig,
     OFFLINE_COLUMNS,
@@ -25,6 +26,8 @@ from flowcoreset.experiments import (
     run_offline,
     run_stream_experiment,
 )
+from flowcoreset.inference import hmc_sample, load_posterior
+from flowcoreset.seeds import derive_seed
 
 TINY = {
     "source": {"kind": "synthetic", "n_datasets": 2, "train_pos": 15,
@@ -318,13 +321,13 @@ class TestOffline:
         """Every repetition of a BLR condition samples the one model its
         dataset built for it, each under its own HMC seed."""
         trained = []  # (model, seed); holding each model keeps its id unique
-        real = experiments.sample_and_score
+        real = experiments.hmc_chains
 
-        def recorded(model, test, rng_seed, hmc, draws):
-            trained.append((model, rng_seed))
-            return real(model, test, rng_seed, hmc, draws)
+        def recorded(model, rng_seeds, **hmc):
+            trained.extend((model, seed) for seed in rng_seeds)
+            return real(model, rng_seeds, **hmc)
 
-        monkeypatch.setattr(experiments, "sample_and_score", recorded)
+        monkeypatch.setattr(experiments, "hmc_chains", recorded)
         config = tiny_config(repetitions=3,
                              source={**TINY["source"], "n_datasets": 1})
         run_offline(config, None)
@@ -332,6 +335,70 @@ class TestOffline:
         assert len(trained) == 3 * len(blr)
         assert len({id(model) for model, _ in trained}) == len(blr)
         assert len({seed for _, seed in trained}) == 3 * len(blr)
+
+    def test_repetitions_share_one_lockstep_in_repetition_major_rows(
+            self, monkeypatch, tmp_path):
+        """Rows keep the repetition-major order, and each repetition of a
+        BLR condition is charged half of its one two-chain call's wall."""
+        now = [0.0]
+        real = experiments.hmc_chains
+
+        def timed(model, rng_seeds, **hmc):
+            now[0] += 7.0
+            return real(model, rng_seeds, **hmc)
+
+        monkeypatch.setattr(experiments, "time",
+                            SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(experiments, "hmc_chains", timed)
+        config = tiny_config(source={**TINY["source"], "n_datasets": 1})
+        run_offline(config, tmp_path)
+        rows = read_rows(tmp_path / "results.csv", OFFLINE_COLUMNS)
+        conditions = offline_conditions(config)
+        assert [(row["repetition"], row["condition"]) for row in rows] == [
+            (rep, condition) for rep in range(2) for condition in conditions]
+        blr = [row for row in rows if row["condition"] != "svm"]
+        assert blr and all(row["train_seconds"] == 3.5 for row in blr)
+
+    def test_a_failing_repetition_leaves_the_other_chain_unchanged(
+            self, monkeypatch, tmp_path):
+        """A chain that raises leaves the lockstep: only its row carries the
+        error, and the other repetition's posterior is the one hmc_sample
+        draws alone, byte for byte."""
+        config = tiny_config(source={**TINY["source"], "n_datasets": 1},
+                             persist_posteriors=True)
+        failing = derive_seed(config.rng_seed, "hmc", 0, "full", 0)
+        models = []
+        real = inference._chain
+
+        def chain(model, rng_seed, **settings):
+            inner = real(model, rng_seed, **settings)
+            if rng_seed != failing:
+                return (yield from inner)
+            models.append(model)
+            yield next(inner)
+            raise NumericalError("HMC aborted: persistent divergences")
+
+        monkeypatch.setattr(inference, "_chain", chain)
+        run_offline(config, tmp_path)
+        monkeypatch.undo()
+        rows = read_rows(tmp_path / "results.csv", OFFLINE_COLUMNS)
+        failed = [(row["condition"], row["repetition"]) for row in rows
+                  if row["error"]]
+        assert failed == [("blr_full", 0)]
+        assert rows[1]["error"] == (
+            "NumericalError: HMC aborted: persistent divergences")
+        assert rows[1]["accuracy"] is None
+        assert not (tmp_path / "posteriors" / "ds0_blr_full_rep0.npy").exists()
+        kept = load_posterior(tmp_path / "posteriors" / "ds0_blr_full_rep1")
+        alone = hmc_sample(models[0], **config.hmc, rng_seed=derive_seed(
+            config.rng_seed, "hmc", 0, "full", 1))
+        assert kept.draws.tobytes() == alone.draws.tobytes()
+        (other,) = [row for row in rows
+                    if (row["condition"], row["repetition"]) == ("blr_full", 1)]
+        assert (other["step_size"], other["acceptance_rate"],
+                other["n_divergent"]) == (alone.step_size,
+                                          alone.acceptance_rate,
+                                          alone.n_divergent)
 
 
 class TestStreamExperiment:

@@ -5,8 +5,10 @@ import tracemalloc
 import warnings
 from dataclasses import fields
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from flowcoreset.data import (
@@ -22,9 +24,11 @@ from flowcoreset.inference import (
     WeightedBLRModel,
     _gradient,
     _leapfrog,
+    _row_buffers,
     accuracy,
     classify,
     fit_map,
+    hmc_chains,
     hmc_sample,
     load_posterior,
     log_posterior,
@@ -167,9 +171,10 @@ class TestLogPosterior:
             warnings.simplefilter("error")
             for model, theta in models:
                 _, grad = log_posterior(model, theta)
+                views, rows, _, out, _, sig, _ = _row_buffers(model, 1)[1]
+                rows[0] = theta
                 with np.errstate(over="ignore"):
-                    lean = _gradient(model, theta, np.empty(model.n),
-                                     np.empty(model.f))
+                    lean = _gradient(model, views, rows, sig, out)[0]
                 terms = np.abs(model._wyx_t) @ sigmoid(-(model._yx @ theta))
                 np.testing.assert_array_less(
                     np.abs(lean - grad), 1e-12 * (terms + np.abs(theta)) + 1e-300)
@@ -381,18 +386,23 @@ class TestHmc:
         assert posterior.acceptance_rate > 0.5
 
     def test_leapfrog_allocates_no_n_vector_per_step(self):
-        """A 20-step trajectory at n = 10 000 peaks below four n-vectors:
-        one buffer serves every interior step, and log_posterior holds
-        three at the last. Per-step temporaries peak at five."""
+        """Trajectories of 20, 12 and 1 steps at n = 10 000 peak below four
+        n-vectors: the buffers the chains share are made before them, and
+        each row's last step calls log_posterior, which holds three. Per-step
+        temporaries peak at five."""
         rng = np.random.default_rng(8)
         n, f = 10_000, 20
         model = WeightedBLRModel(rng.normal(size=(n, f)),
                                  rng.choice([-1.0, 1.0], size=n))
-        theta = rng.normal(scale=0.1, size=f)
-        _, grad = log_posterior(model, theta)
+        buffers = _row_buffers(model, 3)
+        starts = []
+        for steps in (20, 12, 1):
+            theta = rng.normal(scale=0.1, size=f)
+            starts.append((theta, log_posterior(model, theta)[1],
+                           rng.normal(size=f), 1e-3, steps))
         tracemalloc.start()
         try:
-            _leapfrog(model, theta, grad, rng.normal(size=f), 1e-3, 20)
+            _leapfrog(model, buffers, starts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -459,6 +469,52 @@ class TestHmc:
         ):
             with pytest.raises(ConfigError):
                 hmc_sample(model, **settings)
+            with pytest.raises(ConfigError):
+                hmc_chains(model, [0, 1], **settings)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        n=st.integers(0, 300), f=st.integers(1, 5),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+        weight_max=st.sampled_from([None, 1.0, 50.0, 1e6]),
+        zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+        jitter=st.sampled_from([0.0, 0.2]),
+        leapfrog_steps=st.integers(1, 5),
+        initial_step_size=st.sampled_from([None, 1e-3, 0.3, 20.0]),
+        data_seed=st.integers(0, 2**32 - 1))
+    def test_lockstep_chains_equal_solo_chains_bit_for_bit(
+            self, n, f, seeds, weight_max, zero_frac, jitter, leapfrog_steps,
+            initial_step_size, data_seed):
+        """hmc_chains runs each seed's chain exactly as hmc_sample does: the
+        same draw bytes, step size, acceptance rate and divergences, or the
+        same NumericalError. Equal step counts (jitter 0), unequal ones and
+        trajectories with no interior step are all covered, so this also
+        checks that exp over a block of rows equals exp over each row."""
+        rng = np.random.default_rng(data_seed)
+        x = rng.normal(size=(n, f))
+        y = rng.choice([-1.0, 1.0], size=n)
+        w = None
+        if weight_max is not None:
+            w = rng.uniform(0.0, weight_max, size=n)
+            w[rng.uniform(size=n) < zero_frac] = 0.0
+        model = WeightedBLRModel(x, y, w)
+        settings = {"total_samples": 24, "burn_frac": 0.5, "thin": 1,
+                    "jitter": jitter, "leapfrog_steps": leapfrog_steps,
+                    "initial_step_size": initial_step_size}
+
+        def outcome(result):
+            if isinstance(result, NumericalError):
+                return str(result), repr(sorted(result.diagnostics.items()))
+            return (result.draws.tobytes(), result.step_size,
+                    result.acceptance_rate, result.n_divergent)
+
+        solo = []
+        for seed in seeds:
+            try:
+                solo.append(outcome(hmc_sample(model, rng_seed=seed, **settings)))
+            except NumericalError as exc:
+                solo.append(outcome(exc))
+        assert [outcome(r) for r in hmc_chains(model, seeds, **settings)] == solo
 
 
 def manual_posterior(draws):
