@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .data import (
     load_dataset,
     load_json,
 )
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, count_kind, require_count
 from .experiments import (
     ExperimentConfig,
     load_config,
@@ -61,15 +62,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _count(text: str, least: int = 1) -> int:
-    """argparse type of a count flag, a whole number >= `least`; `_seed`'s is 0."""
-    if not text.isdecimal() or int(text) < least:
-        raise argparse.ArgumentTypeError(f"expected a whole number >= {least}, got {text!r}")
+def _count(text: str, **bounds) -> int:
+    """argparse type of a count flag, by require_count's rule; `_seed`'s is >= 0."""
+    try:
+        require_count(int(text) if text.isdecimal() else None, "flag", **bounds)
+    except ConfigError:
+        raise argparse.ArgumentTypeError(
+            f"expected a {count_kind(**bounds)}, got {text!r}") from None
     return int(text)
 
 
 def _seed(text: str) -> int:
-    return _count(text, least=0)
+    return _count(text, least=0, most=math.inf)
 
 
 def _configure(args) -> ExperimentConfig:

@@ -9,12 +9,13 @@ import csv
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, shown
+from .errors import DataError, require, shown
 
 logger = logging.getLogger(__name__)
 
@@ -97,33 +98,17 @@ class CsvSchema:
     label_map: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for raw, mapped in self.label_map.items():
-            if type(mapped) is not int or mapped not in (-1, 1):  # not true or 1.0
-                raise DataError(
+        for raw, mapped in self.label_map.items():  # 1, not true or 1.0
+            require(type(mapped) is int and mapped in (-1, 1),
                     f"label_map[{shown(raw)}] must be +1 or -1, got {shown(mapped)}")
-
-
-def _parse_cell(cell: str, row_num: int, column: str) -> float:
-    """Parse one feature cell. Returns NaN for missing, raises on garbage."""
-    text = cell.strip()
-    if not text:
-        return math.nan
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataError(
-            f"row {row_num}: column {column!r} has non-numeric value {cell!r}"
-        ) from None
-    # "NaN" and "Infinity" parse fine but count as missing.
-    return value if math.isfinite(value) else math.nan
 
 
 def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, int]:
     """Load a labelled flow dataset from a headered CSV file.
 
+    Cells and header names are read stripped of surrounding whitespace.
     Rows with any missing feature value (empty, NaN, or infinite cells) are
-    deleted whole. Rows are streamed, so memory is proportional to the
-    surviving rows only.
+    deleted whole, once every row's cells are in one float64 buffer.
 
     Args:
         path: CSV file with a header row.
@@ -133,15 +118,15 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, int]:
         (dataset, n_dropped) where n_dropped counts deleted rows.
 
     Raises:
-        DataError: missing file or columns, unmapped label values, ragged
-            or non-numeric rows.
+        DataError: missing file or columns, a label or listed feature column
+            the header repeats, unmapped label values, ragged or
+            non-numeric rows.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: no such CSV file")
-    rows: list[np.ndarray] = []
-    labels: list[float] = []
-    dropped = 0
+    cells = array("d")
+    labels = array("d")
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -150,16 +135,16 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, int]:
             raise DataError(f"{path}: empty file, expected a header row") from None
         header = [name.strip() for name in header]
         label_name = schema.label_column.strip()
-        if schema.feature_columns is None:
-            feature_names = [name for name in header if name != label_name]
-        else:
-            feature_names = [name.strip() for name in schema.feature_columns]
-        positions = {name: i for i, name in enumerate(header)}
-        missing = [n for n in feature_names + [label_name] if n not in positions]
+        listed = [name.strip() for name in schema.feature_columns or ()]
+        missing = [name for name in listed + [label_name] if name not in header]
         if missing:
             raise DataError(f"{path}: columns missing from header: {missing}")
-        feat_idx = [positions[n] for n in feature_names]
-        label_idx = positions[label_name]
+        repeated = [name for name in listed + [label_name] if header.count(name) > 1]
+        if repeated:
+            raise DataError(f"{path}: columns repeated in header: {repeated}")
+        label_idx = header.index(label_name)
+        feat_idx = ([i for i in range(len(header)) if i != label_idx]
+                    if schema.feature_columns is None else list(map(header.index, listed)))
 
         for row_num, row in enumerate(reader, start=2):
             if not row:
@@ -173,19 +158,29 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, int]:
                 raise DataError(
                     f"{path}: row {row_num} has unmapped label value {raw_label!r}"
                 )
-            values = [
-                _parse_cell(row[i], row_num, feature_names[k])
-                for k, i in enumerate(feat_idx)
-            ]
-            if any(math.isnan(v) for v in values):
-                dropped += 1
-                continue
-            rows.append(np.asarray(values, dtype=np.float64))
-            labels.append(float(schema.label_map[raw_label]))
+            labels.append(schema.label_map[raw_label])
+            mark = len(cells)
+            try:
+                cells.extend(map(float, map(row.__getitem__, feat_idx)))
+            except ValueError:
+                # Read cell by cell: an empty cell is missing, others numbers.
+                del cells[mark:]
+                for i in feat_idx:
+                    text = row[i].strip()
+                    try:
+                        cells.append(float(text) if text else math.nan)
+                    except ValueError:
+                        raise DataError(
+                            f"row {row_num}: column {header[i]!r} has "
+                            f"non-numeric value {row[i]!r}") from None
 
-    if not rows:
+    x = np.frombuffer(cells).reshape(len(labels), len(feat_idx))
+    # "NaN" and "Infinity" parse fine but count as missing.
+    keep = np.isfinite(x).all(axis=1)
+    dropped = len(labels) - int(np.count_nonzero(keep))
+    if dropped == len(labels):
         raise DataError(f"{path}: no usable rows after dropping {dropped}")
-    data = Dataset(np.vstack(rows), np.asarray(labels))
+    data = Dataset(x[keep], np.frombuffer(labels)[keep])
     logger.info("ingested %s: %d rows kept, %d dropped", path, data.n, dropped)
     return data, dropped
 

@@ -1,10 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks settings pass.
 
 The CLI maps these onto process exit codes, so raising the right type
 matters: ConfigError -> 1, DataError -> 2, NumericalError -> 3.
 """
 
 import json
+import math
+import sys
+from numbers import Integral, Real
 
 
 def shown(value) -> str:
@@ -34,3 +37,37 @@ class NumericalError(FlowCoresetError):
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+
+
+# Counts stay within the integers a float holds exactly: the sampler does
+# float arithmetic on them (burn-in, jittered step counts), and a larger
+# size would end in numpy rather than in a ConfigError.
+_MAX_COUNT = 2**53
+
+
+def count_kind(least: int = 1, most: float = _MAX_COUNT) -> str:
+    """How messages name [least, most]; most is _MAX_COUNT or, for seeds, inf."""
+    bound = f">= {least}" if most == math.inf else f"in [{least}, 2^53]"
+    return f"whole number {bound}"
+
+
+def require(condition: bool, message: str):
+    if not condition:
+        raise ConfigError(message)
+
+
+def require_count(value, name: str, least: int = 1, most: float = _MAX_COUNT):
+    """A whole number in [least, most]: never a float, a string or a bool."""
+    require(isinstance(value, Integral) and not isinstance(value, bool)
+            and least <= value <= most,
+            f"{name} must be a {count_kind(least, most)}, got {shown(value)}")
+
+
+def require_real(value, name: str, positive: bool = False):
+    """A real setting float64 holds, >= 0 or, if `positive`, > 0: bools,
+    strings, NaN and infinities are refused."""
+    require(isinstance(value, Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (value > 0 if positive else value >= 0),
+            f"{name} must be a finite number {'>' if positive else '>='} 0, "
+            f"got {shown(value)}")

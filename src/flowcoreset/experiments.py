@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import platform
-import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,8 @@ from .data import (
     stratified_split,
 )
 from .embed import WEIGHTING_LAPLACE, WEIGHTING_PRIOR
-from .errors import ConfigError, DataError, FlowCoresetError, NumericalError, shown
+from .errors import (ConfigError, DataError, FlowCoresetError, NumericalError, require,
+                     require_count, require_real, shown)
 from .inference import (
     WeightedBLRModel,
     check_sampler_settings,
@@ -70,36 +70,13 @@ _TIMING_NOTE = (
 )
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise ConfigError(message)
-
-
-def _require_count(value, name: str, least: int = 1):
-    """A whole-number setting of at least `least`: floats, strings and bools
-    are refused, never truncated or parsed."""
-    _require(isinstance(value, Integral) and not isinstance(value, bool)
-             and value >= least,
-             f"{name} must be a whole number >= {least}, got {shown(value)}")
-
-
-def _require_real(value, name: str, positive: bool = False):
-    """A real setting float64 holds, >= 0 or, if `positive`, > 0: bools,
-    strings, NaN and infinities are refused."""
-    _require(isinstance(value, Real) and not isinstance(value, bool)
-             and abs(value) <= sys.float_info.max
-             and (value > 0 if positive else value >= 0),
-             f"{name} must be a finite number {'>' if positive else '>='} 0, "
-             f"got {shown(value)}")
-
-
 def _require_names(value, name: str, empty: bool = False):
     """A JSON list of strings, nonempty unless `empty`: a bare string is
     refused, never split into characters."""
-    _require(isinstance(value, tuple) and (empty or len(value) >= 1)
-             and all(isinstance(item, str) for item in value),
-             f"{name} must be a {'' if empty else 'nonempty '}list of strings, "
-             f"got {shown(value)}")
+    require(isinstance(value, tuple) and (empty or len(value) >= 1)
+            and all(isinstance(item, str) for item in value),
+            f"{name} must be a {'' if empty else 'nonempty '}list of strings, "
+            f"got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -117,8 +94,8 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("n_datasets", "train_pos", "train_neg", "test_pos",
                      "test_neg", "features"):
-            _require_count(getattr(self, name), name)
-        _require_real(self.separation, "separation")
+            require_count(getattr(self, name), name)
+        require_real(self.separation, "separation")
 
 
 @dataclass(frozen=True)
@@ -136,18 +113,15 @@ class CsvSpec:
 
     def __post_init__(self):
         _require_names(self.paths, "paths")
-        _require(isinstance(self.label_column, str),
-                 f"label_column must be a string, got {shown(self.label_column)}")
-        _require(isinstance(self.label_map, dict),
-                 f"label_map must be a JSON object, got {shown(self.label_map)}")
+        require(isinstance(self.label_column, str),
+                f"label_column must be a string, got {shown(self.label_column)}")
+        require(isinstance(self.label_map, dict),
+                f"label_map must be a JSON object, got {shown(self.label_map)}")
         if self.feature_columns is not None:
             _require_names(self.feature_columns, "feature_columns")
         for name in ("train_pos", "train_neg", "test_pos", "test_neg"):
-            _require_count(getattr(self, name), name)
-        try:
-            self.schema()
-        except DataError as exc:
-            raise ConfigError(str(exc)) from None
+            require_count(getattr(self, name), name)
+        self.schema()
 
     def schema(self) -> CsvSchema:
         return CsvSchema(self.feature_columns, self.label_column, self.label_map)
@@ -175,18 +149,18 @@ class StreamSpec:
     def __post_init__(self):
         _require_names(self.modes, "modes")
         for mode in self.modes:
-            _require(mode in MODES, f"unknown stream mode {shown(mode)}")
-        _require(self.eval_scope in EVAL_SCOPES,
-                 f"unknown eval scope {shown(self.eval_scope)}")
+            require(mode in MODES, f"unknown stream mode {shown(mode)}")
+        require(self.eval_scope in EVAL_SCOPES,
+                f"unknown eval scope {shown(self.eval_scope)}")
         _require_names(self.batch_paths, "batch_paths", empty=True)
         _require_names(self.test_paths, "test_paths", empty=True)
         if self.batch_paths:
-            _require(len(self.batch_paths) == len(self.test_paths),
-                     "need one test path per batch path")
+            require(len(self.batch_paths) == len(self.test_paths),
+                    "need one test path per batch path")
         else:
             for name in ("n_batches", "batch_pos", "batch_neg", "test_pos",
                          "test_neg"):
-                _require_count(getattr(self, name), name)
+                require_count(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -196,7 +170,7 @@ class SvmSpec:
     reg: float = 1e-3
 
     def __post_init__(self):
-        _require_real(self.reg, "svm.reg", positive=True)
+        require_real(self.reg, "svm.reg", positive=True)
 
 
 @dataclass(frozen=True)
@@ -215,27 +189,27 @@ class ExperimentConfig:
     stream: StreamSpec | None = None
 
     def __post_init__(self):
-        _require_count(self.embedding_dim, "embedding_dim")
-        _require(isinstance(self.budgets, tuple) and len(self.budgets) >= 1,
-                 f"budgets must be a nonempty list, got {shown(self.budgets)}")
+        require_count(self.embedding_dim, "embedding_dim")
+        require(isinstance(self.budgets, tuple) and len(self.budgets) >= 1,
+                f"budgets must be a nonempty list, got {shown(self.budgets)}")
         for budget in self.budgets:
-            _require_count(budget, "each budget")
-        _require(list(self.budgets) == sorted(set(self.budgets)),
-                 "budgets must be strictly ascending")
+            require_count(budget, "each budget")
+        require(list(self.budgets) == sorted(set(self.budgets)),
+                "budgets must be strictly ascending")
         if self.random_size is not None:
-            _require_count(self.random_size, "random_size")
-        _require(self.weighting in (WEIGHTING_LAPLACE, WEIGHTING_PRIOR),
-                 f"unknown weighting {shown(self.weighting)}")
-        _require(isinstance(self.hmc, dict), "hmc must be a JSON object")
+            require_count(self.random_size, "random_size")
+        require(self.weighting in (WEIGHTING_LAPLACE, WEIGHTING_PRIOR),
+                f"unknown weighting {shown(self.weighting)}")
+        require(isinstance(self.hmc, dict), "hmc must be a JSON object")
         check_sampler_settings(self.hmc)
-        _require_count(self.predict_draws, "predict_draws")
-        _require_count(self.repetitions, "repetitions")
-        _require_count(self.rng_seed, "rng_seed", least=0)
-        _require(isinstance(self.persist_posteriors, bool),
-                 "persist_posteriors must be true or false")
-        _require(self.stream is None or bool(self.stream.batch_paths)
-                 or isinstance(self.source, SyntheticSpec),
-                 "synthetic stream batches need a synthetic source")
+        require_count(self.predict_draws, "predict_draws")
+        require_count(self.repetitions, "repetitions")
+        require_count(self.rng_seed, "rng_seed", least=0, most=math.inf)
+        require(isinstance(self.persist_posteriors, bool),
+                "persist_posteriors must be true or false")
+        require(self.stream is None or bool(self.stream.batch_paths)
+                or isinstance(self.source, SyntheticSpec),
+                "synthetic stream batches need a synthetic source")
 
     @property
     def effective_random_size(self) -> int:
@@ -265,8 +239,8 @@ class ExperimentConfig:
             source = settings.get("source")
             kind = source.get("kind") if isinstance(source, dict) else None
             spec = {"synthetic": SyntheticSpec, "csv": CsvSpec}.get(kind)
-            _require(spec is not None, "source must be a JSON object of kind "
-                     f"synthetic or csv, got kind {shown(kind)}")
+            require(spec is not None, "source must be a JSON object of kind "
+                    f"synthetic or csv, got kind {shown(kind)}")
             source = {key: source[key] for key in source if key != "kind"}
             svm, stream = settings.get("svm") or {}, settings.get("stream")
             settings["source"] = spec(**_section(spec, source, "source"))
@@ -293,16 +267,16 @@ def _section(cls, raw, name: str) -> dict:
     retired keys. Its JSON lists, and only those, become tuples; every other
     value passes as JSON gave it, for `cls` to check.
     """
-    _require(isinstance(raw, dict), f"{name} must be a JSON object")
+    require(isinstance(raw, dict), f"{name} must be a JSON object")
     prefix = "" if name == "config" else f"{name}."
     settings = {}
     for key, value in raw.items():
         if prefix + key in _RETIRED:
-            _require_count(value, prefix + key)
+            require_count(value, prefix + key)
         else:
             settings[key] = tuple(value) if isinstance(value, list) else value
     unknown = sorted(set(settings) - {spec.name for spec in fields(cls)})
-    _require(not unknown, f"unknown {name} keys: {unknown}")
+    require(not unknown, f"unknown {name} keys: {unknown}")
     return settings
 
 

@@ -18,17 +18,16 @@ non-Bayesian reference point.
 
 import json
 import math
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, load_json
-from .errors import ConfigError, DataError, NumericalError, shown
+from .errors import (DataError, NumericalError, require, require_count, require_real,
+                     shown)
 
 # MAP fit limits. Far from the mode a Newton step moves a heavily weighted
 # row's margin by about 1, so a weight of 1e29 takes ~70 steps.
@@ -49,10 +48,6 @@ _DIVERGENCE_WINDOW = 100
 # The initial step-size search halves no further than this; a posterior
 # that needs a smaller first step leaves the chain where it started.
 _MIN_STEP = 1e-10
-
-# Sampler counts stay within the integers a float holds exactly: the
-# sampler does float arithmetic on them (burn-in, jittered step counts).
-_MAX_COUNT = 2**53
 
 
 def _exp_neg_abs(m: np.ndarray) -> np.ndarray:
@@ -535,26 +530,20 @@ def check_sampler_settings(settings: dict) -> None:
     """ConfigError unless hmc_sample can run these settings, with its defaults for
     those left out, in the ranges dual averaging needs (Hoffman & Gelman, 2014)."""
     for name, value in settings.items():
-        if name not in SAMPLER_DEFAULTS:
-            raise ConfigError(f"unknown sampler setting {shown(name)}")
-        count = isinstance(SAMPLER_DEFAULTS[name], int)
-        if not (value is None and SAMPLER_DEFAULTS[name] is None
-                or isinstance(value, Integral if count else Real)
-                and not isinstance(value, bool)
-                and (1 <= value <= _MAX_COUNT if count
-                     else abs(value) <= sys.float_info.max)):
-            kind = "whole number in [1, 2**53]" if count else "finite number"
-            raise ConfigError(f"sampler setting {name}={shown(value)} is not a {kind}")
+        require(name in SAMPLER_DEFAULTS, f"unknown sampler setting {shown(name)}")
+        if isinstance(SAMPLER_DEFAULTS[name], int):
+            require_count(value, f"sampler setting {name}")
+        elif value is not None or name != "initial_step_size":
+            require_real(value, f"sampler setting {name}",
+                         positive=name == "initial_step_size")
     s = {**SAMPLER_DEFAULTS, **settings}
-    n, burn, step = s["total_samples"], s["burn_frac"], s["initial_step_size"]
+    n, burn = s["total_samples"], s["burn_frac"]
     for name, bound, ok in (
             ("burn_frac", "in [0, 1) with a draw kept",
-             0 <= burn < 1 and n - round(n * burn) >= 1),
+             burn < 1 and n - round(n * burn) >= 1),
             ("target_accept", "in (0, 1)", 0 < s["target_accept"] < 1),
-            ("jitter", "in [0, 1)", 0 <= s["jitter"] < 1),
-            ("initial_step_size", "positive or null", step is None or step > 0)):
-        if not ok:
-            raise ConfigError(f"sampler setting {name}={shown(s[name])} is not {bound}")
+            ("jitter", "in [0, 1)", s["jitter"] < 1)):
+        require(ok, f"sampler setting {name}={shown(s[name])} is not {bound}")
 
 
 def predict_batch(

@@ -256,6 +256,35 @@ class TestExitCodes:
         assert "Traceback" not in caplog.text + capsys.readouterr().err
         assert not (out / "config.json").exists()
 
+    @pytest.mark.parametrize("key", ["train_pos", "embedding_dim",
+                                     "repetitions", "n_datasets"])
+    def test_huge_config_count_exits_one_without_a_run(self, tmp_path, capsys,
+                                                       caplog, key):
+        """A count past 2**53 is a config error, not a numpy exception or a
+        grid that never ends."""
+        spec = json.loads(json.dumps(TINY))
+        (spec["source"] if key in spec["source"] else spec)[key] = 10**400
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        code = main(["offline", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert f"config error: {key} must be a whole number in [1, 2^53]" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_dimension_flag_exits_one(self, workspace, tmp_path, capsys,
+                                           caplog):
+        _, _, train_csv, _ = workspace
+        out = tmp_path / "cs.json"
+        code = main(["coreset", "--data", str(train_csv), "--out", str(out),
+                     "--budget", "5", "--d", "1" + "0" * 30])
+        assert code == 1
+        assert ("config error: argument --d: expected a whole number in "
+                "[1, 2^53]") in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_budget_override_exits_one(self, tmp_path, capsys):
         code = main(["offline", "--config", "sim1", "--budgets", "a,b",
                      "--out", str(tmp_path / "run")])

@@ -103,6 +103,19 @@ class TestIngestCsv:
         assert dropped == 0
         np.testing.assert_allclose(data.y, [1.0, -1.0, -1.0])
 
+    def test_repeated_header_names_read_each_column_by_position(self, tmp_path):
+        """With feature_columns=None a name the header repeats after
+        stripping is read once per copy, in file order; a repeated label or
+        listed feature column is a DataError naming it."""
+        path = write_csv(tmp_path, "a, a,label\n1,2,benign\n3,4,attack\n")
+        data, _ = ingest_csv(path, CsvSchema(None, "label", SCHEMA.label_map))
+        np.testing.assert_array_equal(data.x, [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(DataError, match=r"columns repeated in header: \['a'\]"):
+            ingest_csv(path, CsvSchema(["a"], "label", SCHEMA.label_map))
+        path = write_csv(tmp_path, "a,label, label\n1,benign,attack\n")
+        with pytest.raises(DataError, match=r"columns repeated in header: \['label'\]"):
+            ingest_csv(path, CsvSchema(None, "label", SCHEMA.label_map))
+
     def test_column_order_follows_schema_not_file(self, tmp_path):
         schema = CsvSchema(
             feature_columns=["pkts", "dur"],

@@ -155,6 +155,12 @@ class TestConfig:
         {"svm": {"reg": 0.0}},
         {"svm": {"reg": 10**400}},
         {"svm": {"reg": True}},
+        # Counts past 2**53, which numpy would refuse or loop on without end.
+        {"source": {**TINY["source"], "train_pos": 10**400}},
+        {"source": {**TINY["source"], "n_datasets": 10**400}},
+        {"embedding_dim": 10**400},
+        {"repetitions": 10**400},
+        {"embedding_dim": 2**53 + 1},
     ])
     def test_malformed_values_are_config_errors(self, override):
         with pytest.raises(ConfigError):
