@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .data import (
     load_dataset,
     load_json,
 )
-from .errors import ConfigError, DataError, NumericalError, count_kind, require_count
+from .errors import ConfigError, DataError, NumericalError, count_kind, is_count
 from .experiments import (
     ExperimentConfig,
     load_config,
@@ -63,17 +62,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str, **bounds) -> int:
-    """argparse type of a count flag, by require_count's rule; `_seed`'s is >= 0."""
-    try:
-        require_count(int(text) if text.isdecimal() else None, "flag", **bounds)
-    except ConfigError:
+    """argparse type of a count flag, by is_count's rule; `_seed`'s is unbounded."""
+    value = int(text) if text.isdecimal() else None
+    if not is_count(value, **bounds):
         raise argparse.ArgumentTypeError(
-            f"expected a {count_kind(**bounds)}, got {text!r}") from None
-    return int(text)
+            f"expected a {count_kind(**bounds)}, got {text!r}")
+    return value
 
 
 def _seed(text: str) -> int:
-    return _count(text, least=0, most=math.inf)
+    return _count(text, least=0, bounded=False)
 
 
 def _configure(args) -> ExperimentConfig:

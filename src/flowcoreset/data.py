@@ -159,20 +159,13 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, int]:
                     f"{path}: row {row_num} has unmapped label value {raw_label!r}"
                 )
             labels.append(schema.label_map[raw_label])
-            mark = len(cells)
-            try:
-                cells.extend(map(float, map(row.__getitem__, feat_idx)))
-            except ValueError:
-                # Read cell by cell: an empty cell is missing, others numbers.
-                del cells[mark:]
-                for i in feat_idx:
-                    text = row[i].strip()
-                    try:
-                        cells.append(float(text) if text else math.nan)
-                    except ValueError:
-                        raise DataError(
-                            f"row {row_num}: column {header[i]!r} has "
-                            f"non-numeric value {row[i]!r}") from None
+            for i in feat_idx:
+                text = row[i].strip()
+                try:
+                    cells.append(float(text) if text else math.nan)
+                except ValueError:
+                    raise DataError(f"row {row_num}: column {header[i]!r} has "
+                                    f"non-numeric value {row[i]!r}") from None
 
     x = np.frombuffer(cells).reshape(len(labels), len(feat_idx))
     # "NaN" and "Infinity" parse fine but count as missing.

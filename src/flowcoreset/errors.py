@@ -5,7 +5,6 @@ matters: ConfigError -> 1, DataError -> 2, NumericalError -> 3.
 """
 
 import json
-import math
 import sys
 from numbers import Integral, Real
 
@@ -45,10 +44,16 @@ class NumericalError(FlowCoresetError):
 _MAX_COUNT = 2**53
 
 
-def count_kind(least: int = 1, most: float = _MAX_COUNT) -> str:
-    """How messages name [least, most]; most is _MAX_COUNT or, for seeds, inf."""
-    bound = f">= {least}" if most == math.inf else f"in [{least}, 2^53]"
-    return f"whole number {bound}"
+def count_kind(least: int = 1, bounded: bool = True) -> str:
+    """How messages name a count's range; only seeds are unbounded."""
+    return "whole number " + (f"in [{least}, 2^53]" if bounded else f">= {least}")
+
+
+def is_count(value, least: int = 1, bounded: bool = True) -> bool:
+    """A whole number >= least, and <= 2^53 if `bounded`: never a float, a
+    string or a bool."""
+    return (isinstance(value, Integral) and not isinstance(value, bool)
+            and least <= value and (not bounded or value <= _MAX_COUNT))
 
 
 def require(condition: bool, message: str):
@@ -56,11 +61,9 @@ def require(condition: bool, message: str):
         raise ConfigError(message)
 
 
-def require_count(value, name: str, least: int = 1, most: float = _MAX_COUNT):
-    """A whole number in [least, most]: never a float, a string or a bool."""
-    require(isinstance(value, Integral) and not isinstance(value, bool)
-            and least <= value <= most,
-            f"{name} must be a {count_kind(least, most)}, got {shown(value)}")
+def require_count(value, name: str, least: int = 1, bounded: bool = True):
+    require(is_count(value, least, bounded),
+            f"{name} must be a {count_kind(least, bounded)}, got {shown(value)}")
 
 
 def require_real(value, name: str, positive: bool = False):

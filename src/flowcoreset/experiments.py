@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import platform
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -204,7 +203,7 @@ class ExperimentConfig:
         check_sampler_settings(self.hmc)
         require_count(self.predict_draws, "predict_draws")
         require_count(self.repetitions, "repetitions")
-        require_count(self.rng_seed, "rng_seed", least=0, most=math.inf)
+        require_count(self.rng_seed, "rng_seed", least=0, bounded=False)
         require(isinstance(self.persist_posteriors, bool),
                 "persist_posteriors must be true or false")
         require(self.stream is None or bool(self.stream.batch_paths)

@@ -533,7 +533,7 @@ def check_sampler_settings(settings: dict) -> None:
         require(name in SAMPLER_DEFAULTS, f"unknown sampler setting {shown(name)}")
         if isinstance(SAMPLER_DEFAULTS[name], int):
             require_count(value, f"sampler setting {name}")
-        elif value is not None or name != "initial_step_size":
+        elif value is not None or SAMPLER_DEFAULTS[name] is not None:
             require_real(value, f"sampler setting {name}",
                          positive=name == "initial_step_size")
     s = {**SAMPLER_DEFAULTS, **settings}
